@@ -48,7 +48,7 @@ void BM_WriteThroughput(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(chunk));
 }
-BENCHMARK(BM_WriteThroughput)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WriteThroughput)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_ReadThroughput(benchmark::State& state) {
   const std::uint64_t chunk = 1 << 20;
@@ -64,7 +64,7 @@ void BM_ReadThroughput(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(chunk));
 }
-BENCHMARK(BM_ReadThroughput)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ReadThroughput)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_CombinedVsGeneralRead(benchmark::State& state) {
   // range(0): 0 = general (per-brick requests), 1 = combined.
@@ -84,7 +84,11 @@ void BM_CombinedVsGeneralRead(benchmark::State& state) {
                           static_cast<std::int64_t>(chunk));
   state.SetLabel(options.combine ? "combined" : "general");
 }
-BENCHMARK(BM_CombinedVsGeneralRead)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CombinedVsGeneralRead)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_CachedVsUncachedRead(benchmark::State& state) {
   // range(0): 0 = no client brick cache, 1 = cache enabled (hot after the
@@ -106,7 +110,11 @@ void BM_CachedVsUncachedRead(benchmark::State& state) {
                           static_cast<std::int64_t>(chunk));
   state.SetLabel(state.range(0) == 1 ? "cached" : "uncached");
 }
-BENCHMARK(BM_CachedVsUncachedRead)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CachedVsUncachedRead)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_SmallRegionRead(benchmark::State& state) {
   // Latency of a small strided region read through the multidim path.

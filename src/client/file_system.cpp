@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <set>
 #include <chrono>
+#include <functional>
 #include <thread>
 
 #include "common/metrics.h"
@@ -504,7 +506,8 @@ struct FileSystem::RetryTally {
 
 Status FileSystem::ExecutePlan(const FileHandle& handle,
                                const layout::ClientPlan& plan_in,
-                               const RunsByBrick& runs, ByteSpan write_data,
+                               const layout::RunsByBrick& runs,
+                               ByteSpan write_data,
                                MutableByteSpan read_buffer,
                                const IoOptions& options, IoReport* report) {
   const bool is_write = plan_in.direction == layout::IoDirection::kWrite;
@@ -643,7 +646,7 @@ Status FileSystem::ExecutePlan(const FileHandle& handle,
 
 Status FileSystem::ExecuteOneRequest(const FileHandle& handle,
                                      const layout::ServerRequest& request,
-                                     const RunsByBrick& runs,
+                                     const layout::RunsByBrick& runs,
                                      ByteSpan write_data,
                                      MutableByteSpan read_buffer,
                                      bool is_write, const IoOptions& options,
@@ -673,272 +676,170 @@ Status FileSystem::ExecuteOneRequest(const FileHandle& handle,
   return last;
 }
 
+namespace {
+
+// The executor's one gather/scatter walk: calls `copy` for each piece
+// that starts before `wire_end`, from piece `next` on. Pieces are sorted by
+// wire offset and none straddles two extents, so successive calls visit
+// exactly one batch's (or one write fragment's) pieces.
+template <typename Copy>
+void ForEachPiece(const std::vector<layout::BufferPiece>& pieces,
+                  std::size_t& next, std::uint64_t wire_end, Copy copy) {
+  for (; next < pieces.size() && pieces[next].wire_offset < wire_end;
+       ++next) {
+    copy(pieces[next]);
+  }
+}
+
+// Copies the pieces carried by `wire`, the wire bytes from `wire_begin`
+// on, into the caller's buffer.
+void Scatter(ByteSpan wire, std::uint64_t wire_begin,
+             const std::vector<layout::BufferPiece>& pieces,
+             std::size_t& next, MutableByteSpan out) {
+  ForEachPiece(pieces, next, wire_begin + wire.size(),
+               [&](const layout::BufferPiece& piece) {
+                 std::memcpy(out.data() + piece.buffer_offset,
+                             wire.data() + (piece.wire_offset - wire_begin),
+                             piece.length);
+               });
+}
+
+// Appends the caller's bytes of the pieces before `wire_end` to `out`; a
+// write's pieces tile its wire stream, so `out` gets exactly those bytes.
+void Gather(ByteSpan data, const std::vector<layout::BufferPiece>& pieces,
+            std::size_t& next, std::uint64_t wire_end, Bytes& out) {
+  ForEachPiece(pieces, next, wire_end, [&](const layout::BufferPiece& piece) {
+    const std::uint8_t* from = data.data() + piece.buffer_offset;
+    out.insert(out.end(), from, from + piece.length);
+  });
+}
+
+}  // namespace
+
 Status FileSystem::TryOneRequest(const FileHandle& handle,
                                  const layout::ServerRequest& request,
-                                 const RunsByBrick& runs, ByteSpan write_data,
+                                 const layout::RunsByBrick& runs,
+                                 ByteSpan write_data,
                                  MutableByteSpan read_buffer, bool is_write,
                                  const IoOptions& options) {
   const FileRecord& record = handle.record;
-  const std::uint64_t slot_bytes = handle.map.brick_bytes();
+  const std::string& path = record.meta.path;
   // Replica rank selection (docs/REPLICATION.md): the request's rank picks
   // both the slot layout and the on-server subfile name. Rank 0 is the
   // primary — plain path, primary distribution — so unreplicated requests
   // are byte-identical to the pre-replication wire traffic.
   const layout::BrickDistribution& dist =
       record.rank_distribution(request.replica);
-  const std::string subfile =
-      layout::ReplicaSubfileName(record.meta.path, request.replica);
-  {
-    const ServerInfo& server = record.servers[request.server];
-    DPFS_ASSIGN_OR_RETURN(PooledConnection conn,
-                          pool_.Acquire(server.endpoint));
+  const std::string subfile = layout::ReplicaSubfileName(path, request.replica);
+  const bool list = !request.list_extents.empty();
+  // §3.2 reads fetch whole bricks and keep only their runs; sieve reads,
+  // writes and list I/O move exactly the runs.
+  const bool whole_bricks = !is_write && !list && options.whole_brick_reads;
+  const net::MessageType op =
+      list ? (is_write ? net::MessageType::kListWrite
+                       : net::MessageType::kListRead)
+           : (is_write ? net::MessageType::kWrite : net::MessageType::kRead);
 
-    if (!request.list_extents.empty()) {
-      // List I/O (docs/NONCONTIGUOUS_IO.md): the plan already carries the
-      // wire extents (subfile offset/length plus the packed-buffer offset),
-      // so each batch ships them verbatim as one list_read/list_write —
-      // `runs` is not consulted on this path.
-      const std::vector<layout::ListExtent>& extents = request.list_extents;
-      std::size_t begin = 0;
-      while (begin < extents.size()) {
-        std::size_t end = begin;
-        std::uint64_t batch_bytes = 0;
-        while (end < extents.size() &&
-               (end == begin || batch_bytes + extents[end].length <=
-                                    options.max_request_bytes)) {
-          batch_bytes += extents[end].length;
-          ++end;
-        }
-        std::vector<net::ReadFragment> wire;
-        wire.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
-          wire.push_back({extents[i].subfile_offset, extents[i].length});
-        }
-        if (is_write) {
-          // Gather the batched payload in extent order; its size must equal
-          // the extent sum (the server rejects mismatches at decode time).
-          Bytes payload;
-          payload.reserve(static_cast<std::size_t>(batch_bytes));
-          for (std::size_t i = begin; i < end; ++i) {
-            payload.insert(
-                payload.end(),
-                write_data.begin() +
-                    static_cast<std::ptrdiff_t>(extents[i].buffer_offset),
-                write_data.begin() +
-                    static_cast<std::ptrdiff_t>(extents[i].buffer_offset +
-                                                extents[i].length));
-          }
-          const Status written = conn->ListWrite(subfile, wire,
-                                                 std::move(payload),
-                                                 options.sync);
-          if (!written.ok()) {
-            conn.Poison();
-            return written.WithContext("list write to " + server.name);
-          }
-        } else {
-          const Result<Bytes> data = conn->ListRead(subfile, wire);
-          if (!data.ok()) {
-            conn.Poison();
-            return data.status().WithContext("list read from " + server.name);
-          }
-          // The reply is the batch's extent bytes concatenated in order.
-          std::uint64_t cursor = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            std::copy_n(
-                data.value().begin() + static_cast<std::ptrdiff_t>(cursor),
-                extents[i].length,
-                read_buffer.begin() +
-                    static_cast<std::ptrdiff_t>(extents[i].buffer_offset));
-            cursor += extents[i].length;
-          }
-        }
-        begin = end;
+  // The brick cache filters the request before lowering: whole-brick reads
+  // serve cached bricks locally and drop them from the wire; writes drop
+  // the images they touch before the first send, since any batch that
+  // reaches the server makes them stale even if a later one fails.
+  layout::ServerRequest misses{request.server, request.replica, {}, {}};
+  if (brick_cache_ != nullptr && (whole_bricks || is_write)) {
+    for (const layout::BrickRequest& brick : request.bricks) {
+      if (is_write) {
+        brick_cache_->Invalidate(path, brick.brick);
+        continue;
       }
-      if (is_write && brick_cache_ != nullptr) {
-        for (const layout::BrickRequest& brick : request.bricks) {
-          brick_cache_->Invalidate(record.meta.path, brick.brick);
-        }
+      const std::optional<Bytes> image = brick_cache_->Get(path, brick.brick);
+      if (!image.has_value()) {
+        misses.bricks.push_back(brick);
+        continue;
       }
-    } else if (is_write) {
-      // Adjacent runs within a brick coalesce into one fragment: a fully
-      // covered brick travels as a single contiguous write even though its
-      // bytes are gathered from many places in the user's buffer.
-      std::vector<net::WriteFragment> fragments;
-      for (const layout::BrickRequest& brick : request.bricks) {
-        const std::uint64_t slot =
-            dist.slot_for(brick.brick) * slot_bytes;
-        const auto it = runs.find(brick.brick);
-        if (it == runs.end()) continue;
-        for (const layout::BrickRun& run : it->second) {
-          const bool extends =
-              !fragments.empty() &&
-              fragments.back().offset + fragments.back().data.size() ==
-                  slot + run.offset_in_brick;
-          if (!extends) {
-            net::WriteFragment fragment;
-            fragment.offset = slot + run.offset_in_brick;
-            fragments.push_back(std::move(fragment));
-          }
-          fragments.back().data.insert(
-              fragments.back().data.end(),
-              write_data.begin() +
-                  static_cast<std::ptrdiff_t>(run.buffer_offset),
-              write_data.begin() +
-                  static_cast<std::ptrdiff_t>(run.buffer_offset + run.length));
-        }
-      }
-      // Ship in batches bounded by max_request_bytes (one frame each).
-      std::size_t begin = 0;
-      while (begin < fragments.size()) {
-        std::size_t end = begin;
-        std::uint64_t batch_bytes = 0;
-        std::vector<net::WriteFragment> batch;
-        while (end < fragments.size() &&
-               (end == begin || batch_bytes + fragments[end].data.size() <=
-                                    options.max_request_bytes)) {
-          batch_bytes += fragments[end].data.size();
-          batch.push_back(std::move(fragments[end]));
-          ++end;
-        }
-        const Status written =
-            conn->Write(subfile, std::move(batch), options.sync);
-        if (!written.ok()) {
-          conn.Poison();
-          return written.WithContext("write to " + server.name);
-        }
-        begin = end;
-      }
-      if (brick_cache_ != nullptr) {
-        for (const layout::BrickRequest& brick : request.bricks) {
-          brick_cache_->Invalidate(record.meta.path, brick.brick);
-        }
-      }
-    } else if (options.whole_brick_reads) {
-      // Reads move whole bricks (§3.2 semantics); the useful runs are
-      // scattered out of the returned brick images. Cached bricks are
-      // served locally and skipped on the wire.
-      const auto scatter = [&](const layout::BrickRequest& brick,
-                               ByteSpan image) {
-        const auto it = runs.find(brick.brick);
-        if (it == runs.end()) return;
-        for (const layout::BrickRun& run : it->second) {
-          std::copy_n(
-              image.begin() + static_cast<std::ptrdiff_t>(run.offset_in_brick),
-              run.length,
-              read_buffer.begin() +
-                  static_cast<std::ptrdiff_t>(run.buffer_offset));
-        }
-      };
+      const layout::LoweredRequest hit = layout::LowerRequest(
+          {request.server, request.replica, {brick}, {}}, dist, handle.map,
+          runs, /*whole_bricks=*/true);
+      std::size_t next = 0;
+      Scatter(*image, 0, hit.pieces, next, read_buffer);
+    }
+  }
+  const layout::ServerRequest& wire_request =
+      brick_cache_ != nullptr && whole_bricks ? misses : request;
+  const layout::LoweredRequest lowered = layout::LowerRequest(
+      wire_request, dist, handle.map, runs, whole_bricks);
+  if (lowered.extents.empty()) return Status::Ok();
 
-      std::vector<net::ReadFragment> fragments;
-      std::vector<const layout::BrickRequest*> fetched;
-      for (const layout::BrickRequest& brick : request.bricks) {
-        if (brick_cache_ != nullptr) {
-          if (const std::optional<Bytes> image =
-                  brick_cache_->Get(record.meta.path, brick.brick)) {
-            scatter(brick, *image);
-            continue;
-          }
+  const ServerInfo& server = record.servers[request.server];
+  DPFS_ASSIGN_OR_RETURN(PooledConnection conn, pool_.Acquire(server.endpoint));
+  const std::vector<layout::WireExtent>& extents = lowered.extents;
+  std::size_t next_piece = 0;
+  std::uint64_t wire_begin = 0;
+  // Ship the extents in batches bounded by max_request_bytes, one frame
+  // each; a batch's wire bytes are its extents' bytes in order.
+  for (std::size_t begin = 0, end = 0; begin < extents.size(); begin = end) {
+    std::vector<net::ReadFragment> fragments;
+    std::uint64_t batch_bytes = 0;
+    for (end = begin;
+         end < extents.size() &&
+         (end == begin ||
+          batch_bytes + extents[end].length <= options.max_request_bytes);
+         ++end) {
+      fragments.push_back({extents[end].subfile_offset, extents[end].length});
+      batch_bytes += extents[end].length;
+    }
+    Status status;
+    if (is_write) {
+      // Gather straight into the frame's payload: one buffer for a list
+      // write, one per fragment for a plain write.
+      std::vector<net::WriteFragment> writes;
+      Bytes payload;
+      if (list) payload.reserve(batch_bytes);
+      std::uint64_t wire_end = wire_begin;
+      for (const net::ReadFragment& fragment : fragments) {
+        wire_end += fragment.length;
+        if (!list) {
+          writes.push_back({fragment.offset, {}});
+          writes.back().data.reserve(fragment.length);
         }
-        net::ReadFragment fragment;
-        fragment.offset = dist.slot_for(brick.brick) * slot_bytes;
-        fragment.length = handle.map.brick_fetch_bytes(brick.brick);
-        fragments.push_back(fragment);
-        fetched.push_back(&brick);
+        Gather(write_data, lowered.pieces, next_piece, wire_end,
+               list ? payload : writes.back().data);
       }
-      std::size_t begin = 0;
-      while (begin < fragments.size()) {
-        std::size_t end = begin;
-        std::uint64_t batch_bytes = 0;
-        while (end < fragments.size() &&
-               (end == begin || batch_bytes + fragments[end].length <=
-                                    options.max_request_bytes)) {
-          batch_bytes += fragments[end].length;
-          ++end;
-        }
-        const std::vector<net::ReadFragment> batch(
-            fragments.begin() + static_cast<std::ptrdiff_t>(begin),
-            fragments.begin() + static_cast<std::ptrdiff_t>(end));
-        const Result<Bytes> data = conn->Read(subfile, batch);
-        if (!data.ok()) {
-          conn.Poison();
-          return data.status().WithContext("read from " + server.name);
-        }
-        std::uint64_t image_base = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-          const ByteSpan image =
-              ByteSpan(data.value()).subspan(image_base, fragments[i].length);
-          scatter(*fetched[i], image);
-          if (brick_cache_ != nullptr) {
-            brick_cache_->Put(record.meta.path, fetched[i]->brick,
-                              Bytes(image.begin(), image.end()));
-          }
-          image_base += fragments[i].length;
-        }
-        begin = end;
-      }
+      status = op == net::MessageType::kListWrite
+                   ? conn->ListWrite(subfile, fragments, std::move(payload),
+                                     options.sync)
+                   : conn->Write(subfile, std::move(writes), options.sync);
     } else {
-      // Sieve reads (extension): fetch only the useful runs, coalescing
-      // adjacent runs into single fragments; the reply byte stream equals
-      // the runs' bytes in order, so scattering walks a cursor.
-      std::vector<net::ReadFragment> fragments;
-      std::vector<const layout::BrickRun*> fragment_runs;
-      std::vector<std::size_t> fragment_first_run;  // index into fragment_runs
-      for (const layout::BrickRequest& brick : request.bricks) {
-        const std::uint64_t slot =
-            dist.slot_for(brick.brick) * slot_bytes;
-        const auto it = runs.find(brick.brick);
-        if (it == runs.end()) continue;
-        for (const layout::BrickRun& run : it->second) {
-          const bool extends =
-              !fragments.empty() &&
-              fragments.back().offset + fragments.back().length ==
-                  slot + run.offset_in_brick;
-          if (extends) {
-            fragments.back().length += run.length;
-          } else {
-            fragments.push_back({slot + run.offset_in_brick, run.length});
-            fragment_first_run.push_back(fragment_runs.size());
-          }
-          fragment_runs.push_back(&run);
-        }
+      Result<Bytes> data = op == net::MessageType::kListRead
+                               ? conn->ListRead(subfile, fragments)
+                               : conn->Read(subfile, fragments);
+      if (data.ok() && data.value().size() != batch_bytes) {
+        data = ProtocolError("reply carries " +
+                             std::to_string(data.value().size()) +
+                             " bytes, the request named " +
+                             std::to_string(batch_bytes));
       }
-      std::size_t begin = 0;
-      while (begin < fragments.size()) {
-        std::size_t end = begin;
-        std::uint64_t batch_bytes = 0;
-        while (end < fragments.size() &&
-               (end == begin || batch_bytes + fragments[end].length <=
-                                    options.max_request_bytes)) {
-          batch_bytes += fragments[end].length;
-          ++end;
+      status = data.status();
+      if (data.ok()) {
+        Scatter(data.value(), wire_begin, lowered.pieces, next_piece,
+                read_buffer);
+        if (brick_cache_ != nullptr && whole_bricks) {
+          // Whole-brick extents are brick images, one per brick in order.
+          ByteSpan images = data.value();
+          for (std::size_t i = begin; i < end; ++i) {
+            const ByteSpan image = images.first(extents[i].length);
+            brick_cache_->Put(path, wire_request.bricks[i].brick,
+                              Bytes(image.begin(), image.end()));
+            images = images.subspan(extents[i].length);
+          }
         }
-        const std::vector<net::ReadFragment> batch(
-            fragments.begin() + static_cast<std::ptrdiff_t>(begin),
-            fragments.begin() + static_cast<std::ptrdiff_t>(end));
-        const Result<Bytes> data = conn->Read(subfile, batch);
-        if (!data.ok()) {
-          conn.Poison();
-          return data.status().WithContext("read from " + server.name);
-        }
-        // The reply equals the batch's runs' bytes in order.
-        const std::size_t run_begin = fragment_first_run[begin];
-        const std::size_t run_end = end < fragments.size()
-                                        ? fragment_first_run[end]
-                                        : fragment_runs.size();
-        std::uint64_t cursor = 0;
-        for (std::size_t r = run_begin; r < run_end; ++r) {
-          const layout::BrickRun* run = fragment_runs[r];
-          std::copy_n(
-              data.value().begin() + static_cast<std::ptrdiff_t>(cursor),
-              run->length,
-              read_buffer.begin() +
-                  static_cast<std::ptrdiff_t>(run->buffer_offset));
-          cursor += run->length;
-        }
-        begin = end;
       }
     }
+    if (!status.ok()) {
+      conn.Poison();
+      return status.WithContext(std::string(net::MessageTypeName(op)) +
+                                " on " + server.name);
+    }
+    wire_begin += batch_bytes;
   }
   return Status::Ok();
 }
@@ -967,7 +868,7 @@ bool FileSystem::IsSuspect(const std::string& endpoint_key) {
 
 Status FileSystem::ExecuteReadWithFailover(const FileHandle& handle,
                                            const layout::ServerRequest& request,
-                                           const RunsByBrick& runs,
+                                           const layout::RunsByBrick& runs,
                                            MutableByteSpan read_buffer,
                                            const IoOptions& options,
                                            RetryTally& tally) {
@@ -1053,6 +954,14 @@ layout::PlanOptions ToPlanOptions(const IoOptions& options,
   return plan_options;
 }
 
+// Collects an access's runs by brick, for the executor.
+std::function<void(const layout::BrickRun&)> GroupInto(
+    layout::RunsByBrick& runs) {
+  return [&runs](const layout::BrickRun& run) {
+    runs[run.brick].push_back(run);
+  };
+}
+
 }  // namespace
 
 Status FileSystem::WriteRegion(FileHandle& handle,
@@ -1071,10 +980,8 @@ Status FileSystem::WriteRegion(FileHandle& handle,
                                handle.client_id, region,
                                ToPlanOptions(options,
                                              layout::IoDirection::kWrite)));
-  RunsByBrick runs;
-  DPFS_RETURN_IF_ERROR(handle.map.ForEachRun(
-      region,
-      [&runs](const layout::BrickRun& run) { runs[run.brick].push_back(run); }));
+  layout::RunsByBrick runs;
+  DPFS_RETURN_IF_ERROR(handle.map.ForEachRun(region, GroupInto(runs)));
   return ExecutePlan(handle, plan, runs, data, {}, options, report);
 }
 
@@ -1094,10 +1001,8 @@ Status FileSystem::ReadRegion(FileHandle& handle, const layout::Region& region,
                                handle.client_id, region,
                                ToPlanOptions(options,
                                              layout::IoDirection::kRead)));
-  RunsByBrick runs;
-  DPFS_RETURN_IF_ERROR(handle.map.ForEachRun(
-      region,
-      [&runs](const layout::BrickRun& run) { runs[run.brick].push_back(run); }));
+  layout::RunsByBrick runs;
+  DPFS_RETURN_IF_ERROR(handle.map.ForEachRun(region, GroupInto(runs)));
   return ExecutePlan(handle, plan, runs, {}, out, options, report);
 }
 
@@ -1117,10 +1022,9 @@ Status FileSystem::WriteBytes(FileHandle& handle, std::uint64_t offset,
                              handle.client_id, offset, data.size(),
                              ToPlanOptions(options,
                                            layout::IoDirection::kWrite)));
-  RunsByBrick runs;
-  DPFS_RETURN_IF_ERROR(handle.map.ForEachByteRun(
-      offset, data.size(),
-      [&runs](const layout::BrickRun& run) { runs[run.brick].push_back(run); }));
+  layout::RunsByBrick runs;
+  DPFS_RETURN_IF_ERROR(
+      handle.map.ForEachByteRun(offset, data.size(), GroupInto(runs)));
   return ExecutePlan(handle, plan, runs, data, {}, options, report);
 }
 
@@ -1137,10 +1041,9 @@ Status FileSystem::ReadBytes(FileHandle& handle, std::uint64_t offset,
                              handle.client_id, offset, out.size(),
                              ToPlanOptions(options,
                                            layout::IoDirection::kRead)));
-  RunsByBrick runs;
-  DPFS_RETURN_IF_ERROR(handle.map.ForEachByteRun(
-      offset, out.size(),
-      [&runs](const layout::BrickRun& run) { runs[run.brick].push_back(run); }));
+  layout::RunsByBrick runs;
+  DPFS_RETURN_IF_ERROR(
+      handle.map.ForEachByteRun(offset, out.size(), GroupInto(runs)));
   return ExecutePlan(handle, plan, runs, {}, out, options, report);
 }
 
@@ -1224,8 +1127,8 @@ Status FileSystem::ExecuteListAccess(const FileHandle& handle,
       layout::PlanListAccess(handle.map, handle.record.distribution,
                              handle.client_id, file_extents,
                              ToPlanOptions(options, direction)));
-  return ExecutePlan(handle, plan, RunsByBrick{}, write_data, read_buffer,
-                     options, report);
+  return ExecutePlan(handle, plan, layout::RunsByBrick{}, write_data,
+                     read_buffer, options, report);
 }
 
 }  // namespace dpfs::client

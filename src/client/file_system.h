@@ -16,7 +16,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "client/brick_cache.h"
@@ -265,9 +264,6 @@ class FileSystem {
       : metadata_(std::move(metadata)),
         remote_(static_cast<RemoteMetadataManager*>(metadata_.get())) {}
 
-  using RunsByBrick =
-      std::unordered_map<layout::BrickId, std::vector<layout::BrickRun>>;
-
   /// Retry counters shared by concurrent dispatch threads, folded into the
   /// caller's IoReport when the plan finishes (defined in file_system.cpp).
   struct RetryTally;
@@ -276,20 +272,20 @@ class FileSystem {
   /// parallel_dispatch). Exactly one of write_data / read_buffer is used,
   /// per plan.direction.
   Status ExecutePlan(const FileHandle& handle, const layout::ClientPlan& plan,
-                     const RunsByBrick& runs, ByteSpan write_data,
+                     const layout::RunsByBrick& runs, ByteSpan write_data,
                      MutableByteSpan read_buffer, const IoOptions& options,
                      IoReport* report);
   /// One client→server request with transient-failure retries (the body of
   /// the dispatch loop).
   Status ExecuteOneRequest(const FileHandle& handle,
                            const layout::ServerRequest& request,
-                           const RunsByBrick& runs, ByteSpan write_data,
+                           const layout::RunsByBrick& runs, ByteSpan write_data,
                            MutableByteSpan read_buffer, bool is_write,
                            const IoOptions& options, RetryTally& tally);
   /// A single attempt of the above.
   Status TryOneRequest(const FileHandle& handle,
                        const layout::ServerRequest& request,
-                       const RunsByBrick& runs, ByteSpan write_data,
+                       const layout::RunsByBrick& runs, ByteSpan write_data,
                        MutableByteSpan read_buffer, bool is_write,
                        const IoOptions& options);
   /// Replication extension: executes one read request against the first
@@ -298,7 +294,7 @@ class FileSystem {
   /// rank > 0 serves the bytes.
   Status ExecuteReadWithFailover(const FileHandle& handle,
                                  const layout::ServerRequest& request,
-                                 const RunsByBrick& runs,
+                                 const layout::RunsByBrick& runs,
                                  MutableByteSpan read_buffer,
                                  const IoOptions& options, RetryTally& tally);
   /// Suspect bookkeeping for read failover: a server that failed a request

@@ -266,6 +266,53 @@ Result<ClientPlan> PlanListAccess(const BrickMap& map,
   return plan;
 }
 
+LoweredRequest LowerRequest(const ServerRequest& request,
+                            const BrickDistribution& dist,
+                            const BrickMap& map, const RunsByBrick& runs,
+                            bool whole_bricks) {
+  LoweredRequest lowered;
+  std::uint64_t wire = 0;  // length of the wire stream lowered so far
+  if (!request.list_extents.empty()) {
+    for (const ListExtent& extent : request.list_extents) {
+      lowered.extents.push_back({extent.subfile_offset, extent.length});
+      lowered.pieces.push_back({wire, extent.buffer_offset, extent.length});
+      wire += extent.length;
+    }
+    return lowered;
+  }
+  for (const BrickRequest& brick : request.bricks) {
+    const std::uint64_t slot = dist.slot_for(brick.brick) * map.brick_bytes();
+    const auto it = runs.find(brick.brick);
+    if (whole_bricks) {
+      const std::uint64_t fetch = map.brick_fetch_bytes(brick.brick);
+      lowered.extents.push_back({slot, fetch});
+      if (it != runs.end()) {
+        for (const BrickRun& run : it->second) {
+          lowered.pieces.push_back(
+              {wire + run.offset_in_brick, run.buffer_offset, run.length});
+        }
+      }
+      wire += fetch;
+      continue;
+    }
+    if (it == runs.end()) continue;
+    for (const BrickRun& run : it->second) {
+      const std::uint64_t offset = slot + run.offset_in_brick;
+      if (!lowered.extents.empty() &&
+          lowered.extents.back().subfile_offset +
+                  lowered.extents.back().length ==
+              offset) {
+        lowered.extents.back().length += run.length;
+      } else {
+        lowered.extents.push_back({offset, run.length});
+      }
+      lowered.pieces.push_back({wire, run.buffer_offset, run.length});
+      wire += run.length;
+    }
+  }
+  return lowered;
+}
+
 Result<IoPlan> PlanCollectiveAccess(const BrickMap& map,
                                     const BrickDistribution& dist,
                                     const std::vector<Region>& regions,

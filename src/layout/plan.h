@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -75,6 +76,50 @@ struct ServerRequest {
   [[nodiscard]] std::uint64_t transfer_bytes() const noexcept;
   [[nodiscard]] std::uint64_t useful_bytes() const noexcept;
 };
+
+/// An access's buffer runs grouped by brick (BrickMap::ForEachRun or
+/// ForEachByteRun output): what requests gather from and scatter into.
+using RunsByBrick = std::unordered_map<BrickId, std::vector<BrickRun>>;
+
+/// One contiguous subfile byte range named on the wire.
+struct WireExtent {
+  std::uint64_t subfile_offset = 0;
+  std::uint64_t length = 0;
+
+  friend bool operator==(const WireExtent&, const WireExtent&) = default;
+};
+
+/// One contiguous piece of the caller's access buffer inside a request's
+/// wire stream — the bytes of its extents concatenated in order, which is
+/// both a read reply and the payload a write gathers.
+struct BufferPiece {
+  std::uint64_t wire_offset = 0;    // bytes into the wire stream
+  std::uint64_t buffer_offset = 0;  // bytes into the packed access buffer
+  std::uint64_t length = 0;
+
+  friend bool operator==(const BufferPiece&, const BufferPiece&) = default;
+};
+
+/// A request lowered to what crosses the wire.
+struct LoweredRequest {
+  std::vector<WireExtent> extents;
+  std::vector<BufferPiece> pieces;  // sorted by wire_offset
+};
+
+/// Lowers one request of any plan mode to one extent list:
+///   * list I/O (request.list_extents set): the list extents unchanged;
+///   * whole-brick reads (`whole_bricks`): one extent per brick, in brick
+///     order, at slot * brick_bytes and brick_fetch_bytes long, carrying
+///     one piece per run of the brick;
+///   * sieve reads and writes: the runs in brick order, merged wherever
+///     the subfile continues (also across adjacent slots), one piece each.
+/// `dist` is the distribution of the request's replica rank. No piece
+/// straddles two extents, so any split of the extents into batches splits
+/// the pieces too.
+LoweredRequest LowerRequest(const ServerRequest& request,
+                            const BrickDistribution& dist,
+                            const BrickMap& map, const RunsByBrick& runs,
+                            bool whole_bricks);
 
 /// The ordered request stream of one client.
 struct ClientPlan {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "client/datatype.h"
+#include "common/failpoint.h"
 #include "core/cluster.h"
 
 namespace dpfs::client {
@@ -164,6 +166,43 @@ TEST_F(CachedFileSystemTest, RenameInvalidatesCache) {
   Bytes read(1024);
   ASSERT_TRUE(fs_->ReadBytes(moved, 0, read).ok());
   EXPECT_EQ(read, Bytes(1024, 3));
+}
+
+TEST_F(CachedFileSystemTest, PartlyFailedWriteLeavesNoStaleImages) {
+  // A write that fails after its first batch reached the server must not
+  // leave this client serving the pre-write images of the bricks it
+  // touched: every other client already reads the new bytes.
+  CreateOptions create;
+  create.total_bytes = 2048;
+  create.brick_bytes = 512;  // 4 bricks, 2 per server
+  FileHandle handle = fs_->Create("/torn.bin", create).value();
+  ASSERT_TRUE(fs_->WriteBytes(handle, 0, Bytes(2048, 1)).ok());
+  Bytes warm(2048);
+  ASSERT_TRUE(fs_->ReadBytes(handle, 0, warm).ok());
+
+  failpoint::Spec fail_second;
+  fail_second.action = failpoint::Action::kReturnError;
+  fail_second.code = StatusCode::kIoError;  // not retried
+  fail_second.skip = 1;
+  fail_second.count = 1;
+  failpoint::Arm("server.before_reply", fail_second);
+  const Datatype stripes =
+      Datatype::Vector(16, 64, 128, Datatype::Bytes(1)).value();
+  IoOptions list;
+  list.list_io = true;
+  list.max_request_bytes = 64;  // one extent per wire request
+  EXPECT_FALSE(
+      fs_->WriteType(handle, 0, stripes, Bytes(stripes.size(), 9), list).ok());
+  failpoint::DisarmAll();
+
+  Bytes cached(2048);
+  ASSERT_TRUE(fs_->ReadBytes(handle, 0, cached).ok());
+  IoOptions sieve;
+  sieve.whole_brick_reads = false;  // sieve reads bypass the cache
+  Bytes uncached(2048);
+  ASSERT_TRUE(fs_->ReadBytes(handle, 0, uncached, sieve).ok());
+  EXPECT_EQ(uncached[0], 9);  // the first batch landed
+  EXPECT_EQ(cached, uncached);
 }
 
 TEST_F(CachedFileSystemTest, MultidimRegionReadsHitCache) {

@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "core/cluster.h"
+#include "net/frame.h"
+#include "net/messages.h"
 
 namespace dpfs::client {
 namespace {
@@ -321,6 +325,35 @@ TEST_F(FileSystemTest, ListIoRespectsRequestBatching) {
   Bytes back(pattern.size());
   ASSERT_TRUE(fs_->ReadType(handle, 0, pattern, back, list).ok());
   EXPECT_EQ(back, payload);
+}
+
+TEST_F(FileSystemTest, ShortReadReplyIsRejected) {
+  // A server whose reply carries fewer bytes than the request named must
+  // fail the read instead of scattering past the end of the reply.
+  CreateOptions options;
+  options.total_bytes = 4096;
+  options.brick_bytes = 1024;
+  FileHandle handle = fs_->Create("/short", options).value();
+  net::TcpListener listener = net::TcpListener::Bind(0).value();
+  std::thread fake_server([&listener] {
+    Result<net::TcpSocket> conn = listener.Accept();
+    Bytes request;
+    while (conn.ok() && net::RecvFrame(conn.value(), request).ok() &&
+           net::SendFrame(conn.value(),
+                          net::EncodeReply(Status::Ok(), Bytes(10, 0)))
+               .ok()) {
+    }
+  });
+  for (ServerInfo& server : handle.record.servers) {
+    server.endpoint = net::Endpoint{"127.0.0.1", listener.port()};
+  }
+  IoOptions io;
+  io.max_retries = 0;
+  Bytes out(4096);
+  EXPECT_EQ(fs_->ReadBytes(handle, 0, out, io).code(),
+            StatusCode::kProtocolError);
+  listener.Close();
+  fake_server.join();
 }
 
 TEST_F(FileSystemTest, ListIoRejectsNonLinearFiles) {

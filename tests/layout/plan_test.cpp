@@ -296,5 +296,103 @@ TEST_F(PlanTest, ListAccessAccountingMatchesSievePlan) {
   EXPECT_EQ(a.num_requests(), b.num_requests());
 }
 
+// --- LowerRequest: every mode as one extent list -------------------------
+
+class LowerRequestTest : public ::testing::Test {
+ protected:
+  // 10 bricks of 1 KiB, the last one short (784 bytes), round-robin over 3
+  // servers: server 0 holds bricks 0, 3, 6, 9 in slots 0..3.
+  LowerRequestTest()
+      : map_(BrickMap::Linear(10000, 1024).value()),
+        dist_(BrickDistribution::RoundRobin(10, 3).value()) {}
+
+  /// Server 0's request for bytes [100, 9900), with the access's runs.
+  ServerRequest Server0(bool whole_brick_reads, IoDirection direction) {
+    PlanOptions options;
+    options.direction = direction;
+    options.whole_brick_reads = whole_brick_reads;
+    options.combine = true;
+    options.rotate_start = false;
+    const ClientPlan plan =
+        PlanByteAccess(map_, dist_, 0, 100, 9800, options).value();
+    runs_.clear();
+    EXPECT_TRUE(map_.ForEachByteRun(100, 9800, [&](const BrickRun& run) {
+                      runs_[run.brick].push_back(run);
+                    }).ok());
+    return plan.requests.at(0);
+  }
+
+  BrickMap map_;
+  BrickDistribution dist_;
+  RunsByBrick runs_;
+};
+
+TEST_F(LowerRequestTest, WholeBrickReadFetchesEveryBrickAtFetchLength) {
+  const ServerRequest request = Server0(true, IoDirection::kRead);
+  const LoweredRequest lowered = LowerRequest(request, dist_, map_, runs_,
+                                              /*whole_bricks=*/true);
+  EXPECT_EQ(lowered.extents, (std::vector<WireExtent>{
+                                 {0, 1024}, {1024, 1024}, {2048, 1024},
+                                 {3072, 784}}));
+  // Each brick's one run sits at its offset inside the brick's image.
+  EXPECT_EQ(lowered.pieces, (std::vector<BufferPiece>{{100, 0, 924},
+                                                       {1024, 2972, 1024},
+                                                       {2048, 6044, 1024},
+                                                       {3072, 9116, 684}}));
+}
+
+TEST_F(LowerRequestTest, SieveReadAndWriteMergeRunsAcrossAdjacentSlots) {
+  for (const IoDirection direction : {IoDirection::kRead, IoDirection::kWrite}) {
+    const ServerRequest request = Server0(false, direction);
+    const LoweredRequest lowered = LowerRequest(request, dist_, map_, runs_,
+                                                /*whole_bricks=*/false);
+    // Slots 0..3 are adjacent in the subfile: one extent, four pieces.
+    EXPECT_EQ(lowered.extents, (std::vector<WireExtent>{{100, 3656}}));
+    EXPECT_EQ(lowered.pieces, (std::vector<BufferPiece>{{0, 0, 924},
+                                                         {924, 2972, 1024},
+                                                         {1948, 6044, 1024},
+                                                         {2972, 9116, 684}}));
+    EXPECT_EQ(request.transfer_bytes(), 3656u);
+  }
+}
+
+TEST_F(LowerRequestTest, ListExtentsPassThroughUnchanged) {
+  PlanOptions options;
+  options.rotate_start = false;
+  const ClientPlan plan =
+      PlanListAccess(map_, dist_, 0, {{10, 20}, {1030, 20}, {3100, 40}},
+                     options)
+          .value();
+  const ServerRequest& request = plan.requests.at(0);
+  const LoweredRequest lowered =
+      LowerRequest(request, dist_, map_, {}, /*whole_bricks=*/false);
+  ASSERT_EQ(lowered.extents.size(), request.list_extents.size());
+  std::uint64_t wire = 0;
+  for (std::size_t i = 0; i < lowered.extents.size(); ++i) {
+    const ListExtent& extent = request.list_extents[i];
+    EXPECT_EQ(lowered.extents[i],
+              (WireExtent{extent.subfile_offset, extent.length}));
+    EXPECT_EQ(lowered.pieces[i],
+              (BufferPiece{wire, extent.buffer_offset, extent.length}));
+    wire += extent.length;
+  }
+}
+
+TEST_F(LowerRequestTest, ReplicaRankUsesItsOwnSlots) {
+  // The same request lowered against another rank's distribution lands at
+  // that rank's slots: brick 3 is slot 0 of a distribution that starts
+  // server 0 at brick 3.
+  const ServerRequest request = Server0(true, IoDirection::kRead);
+  const BrickDistribution shifted =
+      BrickDistribution::FromBrickLists(10, {{3, 0, 6, 9}, {1, 4, 7},
+                                             {2, 5, 8}})
+          .value();
+  const LoweredRequest lowered =
+      LowerRequest(request, shifted, map_, runs_, /*whole_bricks=*/true);
+  EXPECT_EQ(lowered.extents, (std::vector<WireExtent>{
+                                 {1024, 1024}, {0, 1024}, {2048, 1024},
+                                 {3072, 784}}));
+}
+
 }  // namespace
 }  // namespace dpfs::layout

@@ -4,6 +4,7 @@
 // conserve bytes regardless of combination or placement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -221,6 +222,117 @@ TEST_P(RandomGeometryTest, RotationIsAPermutationOfRequests) {
       servers_b.insert(request.server);
     }
     EXPECT_EQ(servers_a, servers_b);
+  }
+}
+
+/// Checks one request's lowering: the extents carry the request's transfer
+/// bytes, the pieces are sorted and each lies inside one extent, and every
+/// piece's buffer bytes are counted in `coverage`.
+void CheckLowering(const ServerRequest& request, const LoweredRequest& lowered,
+                   std::vector<int>& coverage) {
+  std::uint64_t wire = 0;
+  std::vector<std::uint64_t> extent_ends;
+  for (const WireExtent& extent : lowered.extents) {
+    EXPECT_GT(extent.length, 0u);
+    wire += extent.length;
+    extent_ends.push_back(wire);
+  }
+  EXPECT_EQ(wire, request.transfer_bytes());
+  std::uint64_t prev = 0;
+  for (const BufferPiece& piece : lowered.pieces) {
+    EXPECT_GE(piece.wire_offset, prev);
+    prev = piece.wire_offset;
+    // The piece ends inside the extent it starts in.
+    const auto end = std::upper_bound(extent_ends.begin(), extent_ends.end(),
+                                      piece.wire_offset);
+    ASSERT_NE(end, extent_ends.end());
+    EXPECT_LE(piece.wire_offset + piece.length, *end);
+    for (std::uint64_t i = 0; i < piece.length; ++i) {
+      coverage.at(piece.buffer_offset + i) += 1;
+    }
+  }
+}
+
+TEST_P(RandomGeometryTest, LoweringTilesTheBufferInEveryMode) {
+  Build();
+  SplitMix64 rng(std::get<1>(GetParam()) * 53 + 11);
+  std::vector<std::uint32_t> perf(1 + rng.NextBelow(5));
+  for (std::uint32_t& p : perf) {
+    p = 1 + static_cast<std::uint32_t>(rng.NextBelow(4));
+  }
+  const BrickDistribution dist =
+      BrickDistribution::Greedy(map_.num_bricks(), perf).value();
+  RunsByBrick runs;
+  ASSERT_TRUE(map_.ForEachRun(region_, [&](const BrickRun& run) {
+    runs[run.brick].push_back(run);
+  }).ok());
+  const std::uint64_t buffer_bytes = region_.num_elements() * element_size_;
+
+  struct Mode {
+    IoDirection direction;
+    bool whole_bricks;
+  };
+  for (const Mode mode : {Mode{IoDirection::kRead, true},
+                          Mode{IoDirection::kRead, false},
+                          Mode{IoDirection::kWrite, false}}) {
+    PlanOptions options;
+    options.direction = mode.direction;
+    options.whole_brick_reads = mode.whole_bricks;
+    options.combine = rng.NextBelow(2) == 0;
+    const ClientPlan plan =
+        PlanRegionAccess(map_, dist, 0, region_, options).value();
+    std::vector<int> coverage(buffer_bytes, 0);
+    for (const ServerRequest& request : plan.requests) {
+      const LoweredRequest lowered =
+          LowerRequest(request, dist, map_, runs, mode.whole_bricks);
+      CheckLowering(request, lowered, coverage);
+      if (mode.whole_bricks) {
+        // One extent per brick: its slot, at the (edge-aware) fetch length.
+        ASSERT_EQ(lowered.extents.size(), request.bricks.size());
+        for (std::size_t i = 0; i < request.bricks.size(); ++i) {
+          const BrickId brick = request.bricks[i].brick;
+          EXPECT_EQ(lowered.extents[i],
+                    (WireExtent{dist.slot_for(brick) * map_.brick_bytes(),
+                                map_.brick_fetch_bytes(brick)}));
+        }
+      }
+    }
+    for (std::uint64_t i = 0; i < buffer_bytes; ++i) {
+      ASSERT_EQ(coverage[i], 1) << "byte " << i << " whole_bricks "
+                                << mode.whole_bricks;
+    }
+  }
+
+  // List I/O over the same bytes, on the linear level: the region's runs
+  // flattened to file extents.
+  if (map_.level() != FileLevel::kLinear) return;
+  std::vector<FileExtent> extents;
+  ASSERT_TRUE(map_.ForEachRun(region_, [&](const BrickRun& run) {
+    const std::uint64_t offset =
+        run.brick * map_.brick_bytes() + run.offset_in_brick;
+    if (!extents.empty() &&
+        extents.back().offset + extents.back().length == offset) {
+      extents.back().length += run.length;
+    } else {
+      extents.push_back({offset, run.length});
+    }
+  }).ok());
+  const ClientPlan plan =
+      PlanListAccess(map_, dist, 0, extents, PlanOptions{}).value();
+  std::vector<int> coverage(buffer_bytes, 0);
+  for (const ServerRequest& request : plan.requests) {
+    const LoweredRequest lowered =
+        LowerRequest(request, dist, map_, {}, /*whole_bricks=*/false);
+    CheckLowering(request, lowered, coverage);
+    for (std::size_t i = 1; i < lowered.extents.size(); ++i) {
+      EXPECT_GT(lowered.extents[i].subfile_offset,
+                lowered.extents[i - 1].subfile_offset +
+                    lowered.extents[i - 1].length - 1)
+          << "list extents must be strictly ascending";
+    }
+  }
+  for (std::uint64_t i = 0; i < buffer_bytes; ++i) {
+    ASSERT_EQ(coverage[i], 1) << "list byte " << i;
   }
 }
 
