@@ -61,7 +61,7 @@ Cell RunCell(ServerEngine engine, int sessions, std::size_t request_bytes) {
         const auto start = Clock::now();
         const dpfs::Status wrote =
             conn.Write(subfile, {WriteFragment{0, payload}});
-        const dpfs::Result<Bytes> read =
+        const dpfs::Result<dpfs::net::ReplyBody> read =
             conn.Read(subfile, {ReadFragment{0, request_bytes}});
         const auto stop = Clock::now();
         if (!wrote.ok() || !read.ok() ||

@@ -136,7 +136,7 @@ void BM_SmallRegionRead(benchmark::State& state) {
     if (!status.ok()) state.SkipWithError(status.ToString().c_str());
   }
 }
-BENCHMARK(BM_SmallRegionRead)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SmallRegionRead)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 void BM_OpenFromMetadata(benchmark::State& state) {
   Fixture fixture = Fixture::Make(4, 1 << 20, 64 * 1024);

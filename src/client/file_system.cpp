@@ -789,8 +789,9 @@ Status FileSystem::TryOneRequest(const FileHandle& handle,
     }
     Status status;
     if (is_write) {
-      // Gather straight into the frame's payload: one buffer for a list
-      // write, one per fragment for a plain write.
+      // The one copy of a write: gather into one buffer for a list write,
+      // one per fragment for a plain write. The frame is sent from these
+      // buffers in place.
       std::vector<net::WriteFragment> writes;
       Bytes payload;
       if (list) payload.reserve(batch_bytes);
@@ -809,9 +810,10 @@ Status FileSystem::TryOneRequest(const FileHandle& handle,
                                      options.sync)
                    : conn->Write(subfile, std::move(writes), options.sync);
     } else {
-      Result<Bytes> data = op == net::MessageType::kListRead
-                               ? conn->ListRead(subfile, fragments)
-                               : conn->Read(subfile, fragments);
+      // The reply body is scattered from the received frame in place.
+      Result<net::ReplyBody> data = op == net::MessageType::kListRead
+                                        ? conn->ListRead(subfile, fragments)
+                                        : conn->Read(subfile, fragments);
       if (data.ok() && data.value().size() != batch_bytes) {
         data = ProtocolError("reply carries " +
                              std::to_string(data.value().size()) +
@@ -820,15 +822,15 @@ Status FileSystem::TryOneRequest(const FileHandle& handle,
       }
       status = data.status();
       if (data.ok()) {
-        Scatter(data.value(), wire_begin, lowered.pieces, next_piece,
-                read_buffer);
+        const ByteSpan wire = data.value().bytes();
+        Scatter(wire, wire_begin, lowered.pieces, next_piece, read_buffer);
         if (brick_cache_ != nullptr && whole_bricks) {
           // Whole-brick extents are brick images, one per brick in order.
-          ByteSpan images = data.value();
+          ByteSpan images = wire;
           for (std::size_t i = begin; i < end; ++i) {
             const ByteSpan image = images.first(extents[i].length);
             brick_cache_->Put(path, wire_request.bricks[i].brick,
-                              Bytes(image.begin(), image.end()));
+                              ToBytes(image));
             images = images.subspan(extents[i].length);
           }
         }

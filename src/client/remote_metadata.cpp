@@ -37,14 +37,14 @@ Result<std::unique_ptr<RemoteMetadataManager>> RemoteMetadataManager::Connect(
   return manager;
 }
 
-Result<Bytes> RemoteMetadataManager::Call(net::MessageType type,
-                                          ByteSpan body) {
+Result<net::ReplyBody> RemoteMetadataManager::Call(net::MessageType type,
+                                                   ByteSpan body) {
   MutexLock lock(conn_mu_);
   // Staleness probe + redial shared with the data-path pool
   // (client/conn_pool.h): a metad restart between calls is absorbed here,
   // counted by conn_pool.redials.
   DPFS_RETURN_IF_ERROR(EnsureFreshConnection(conn_, endpoint_));
-  Result<Bytes> reply = conn_->Call(type, body);
+  Result<net::ReplyBody> reply = conn_->Call(type, body);
   if (!reply.ok() && reply.status().code() == StatusCode::kUnavailable) {
     // Transport failure (or a server refusing service): abandon the
     // connection so the next operation redials — a restarted metad is
@@ -59,9 +59,9 @@ Status RemoteMetadataManager::Ping() {
 }
 
 Result<std::string> RemoteMetadataManager::FetchMetrics() {
-  DPFS_ASSIGN_OR_RETURN(const Bytes reply,
+  DPFS_ASSIGN_OR_RETURN(const net::ReplyBody reply,
                         Call(net::MessageType::kMetrics, {}));
-  BinaryReader reader(reply);
+  BinaryReader reader(reply.bytes());
   return reader.ReadString();
 }
 
@@ -84,9 +84,9 @@ Status RemoteMetadataManager::UnregisterServer(const std::string& name) {
 }
 
 Result<std::vector<ServerInfo>> RemoteMetadataManager::ListServers() {
-  DPFS_ASSIGN_OR_RETURN(const Bytes reply,
+  DPFS_ASSIGN_OR_RETURN(const net::ReplyBody reply,
                         Call(net::MessageType::kMetaListServers, {}));
-  BinaryReader reader(reply);
+  BinaryReader reader(reply.bytes());
   DPFS_ASSIGN_OR_RETURN(meta_wire::ServerListReply decoded,
                         meta_wire::ServerListReply::Decode(reader));
   return std::move(decoded.servers);
@@ -99,9 +99,9 @@ Result<ServerInfo> RemoteMetadataManager::LookupServer(
   BinaryWriter body;
   request.Encode(body);
   DPFS_ASSIGN_OR_RETURN(
-      const Bytes reply,
+      const net::ReplyBody reply,
       Call(net::MessageType::kMetaLookupServer, body.buffer()));
-  BinaryReader reader(reply);
+  BinaryReader reader(reply.bytes());
   return meta_wire::DecodeServerInfo(reader);
 }
 
@@ -157,9 +157,9 @@ Result<FileRecord> RemoteMetadataManager::LookupFile(const std::string& path) {
   BinaryWriter body;
   request.Encode(body);
   DPFS_ASSIGN_OR_RETURN(
-      const Bytes reply,
+      const net::ReplyBody reply,
       Call(net::MessageType::kMetaLookupFile, body.buffer()));
-  BinaryReader reader(reply);
+  BinaryReader reader(reply.bytes());
   DPFS_ASSIGN_OR_RETURN(meta_wire::FileRecordReply decoded,
                         meta_wire::FileRecordReply::Decode(reader));
   if (options_.cache_ttl.count() > 0) {
@@ -226,9 +226,9 @@ Result<bool> RemoteMetadataManager::FileExists(const std::string& path) {
   BinaryWriter body;
   request.Encode(body);
   DPFS_ASSIGN_OR_RETURN(
-      const Bytes reply,
+      const net::ReplyBody reply,
       Call(net::MessageType::kMetaFileExists, body.buffer()));
-  BinaryReader reader(reply);
+  BinaryReader reader(reply.bytes());
   DPFS_ASSIGN_OR_RETURN(const meta_wire::BoolReply decoded,
                         meta_wire::BoolReply::Decode(reader));
   return decoded.value;
@@ -272,9 +272,9 @@ RemoteMetadataManager::SummarizeAccess(const std::string& path) {
   BinaryWriter body;
   request.Encode(body);
   DPFS_ASSIGN_OR_RETURN(
-      const Bytes reply,
+      const net::ReplyBody reply,
       Call(net::MessageType::kMetaSummarizeAccess, body.buffer()));
-  BinaryReader reader(reply);
+  BinaryReader reader(reply.bytes());
   DPFS_ASSIGN_OR_RETURN(const meta_wire::AccessSummaryReply decoded,
                         meta_wire::AccessSummaryReply::Decode(reader));
   return decoded.summary;
@@ -317,9 +317,9 @@ Result<bool> RemoteMetadataManager::DirectoryExists(const std::string& path) {
   BinaryWriter body;
   request.Encode(body);
   DPFS_ASSIGN_OR_RETURN(
-      const Bytes reply,
+      const net::ReplyBody reply,
       Call(net::MessageType::kMetaDirectoryExists, body.buffer()));
-  BinaryReader reader(reply);
+  BinaryReader reader(reply.bytes());
   DPFS_ASSIGN_OR_RETURN(const meta_wire::BoolReply decoded,
                         meta_wire::BoolReply::Decode(reader));
   return decoded.value;
@@ -332,9 +332,9 @@ Result<MetadataService::Listing> RemoteMetadataManager::ListDirectory(
   BinaryWriter body;
   request.Encode(body);
   DPFS_ASSIGN_OR_RETURN(
-      const Bytes reply,
+      const net::ReplyBody reply,
       Call(net::MessageType::kMetaListDirectory, body.buffer()));
-  BinaryReader reader(reply);
+  BinaryReader reader(reply.bytes());
   DPFS_ASSIGN_OR_RETURN(meta_wire::ListingReply decoded,
                         meta_wire::ListingReply::Decode(reader));
   return std::move(decoded.listing);

@@ -100,7 +100,7 @@ class RemoteMetadataManager final : public MetadataService {
 
   /// One RPC: (re)dials if needed, sends, receives. On a transport-level
   /// failure the connection is abandoned so the next call redials.
-  Result<Bytes> Call(net::MessageType type, ByteSpan body);
+  Result<net::ReplyBody> Call(net::MessageType type, ByteSpan body);
 
   net::Endpoint endpoint_;
   RemoteMetadataOptions options_;

@@ -31,6 +31,10 @@ inline ByteSpan AsBytes(std::string_view s) noexcept {
 inline std::string_view AsStringView(ByteSpan bytes) noexcept {
   return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
 }
+/// An owned copy of a view.
+inline Bytes ToBytes(ByteSpan bytes) {
+  return Bytes(bytes.begin(), bytes.end());
+}
 
 /// Appends fixed-width little-endian values to a growable byte vector.
 class BinaryWriter {

@@ -1,4 +1,9 @@
 // CRC-32C (Castagnoli) used to protect WAL records and wire frames.
+//
+// On x86-64 CPUs with SSE4.2 the crc32 instruction computes it, three
+// interleaved streams at a time; elsewhere a byte-at-a-time table does.
+// The choice is made once by CPU detection. Both give the same value (the
+// polynomial is fixed), so frames and WAL records do not depend on it.
 #pragma once
 
 #include <cstdint>

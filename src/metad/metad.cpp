@@ -68,15 +68,15 @@ OpMetrics& Metrics() {
   return m;
 }
 
-Bytes StatusReply(const Status& status) {
-  return net::EncodeReply(status, {});
+net::Reply StatusReply(const Status& status) {
+  return net::Reply{status, {}};
 }
 
 template <typename Reply>
-Bytes BodyReply(const Reply& reply) {
+net::Reply BodyReply(const Reply& reply) {
   BinaryWriter body;
   reply.Encode(body);
-  return net::EncodeReply(Status::Ok(), body.buffer());
+  return net::Reply{Status::Ok(), std::move(body).TakeBuffer()};
 }
 
 }  // namespace
@@ -197,16 +197,14 @@ void MetadService::Session(net::TcpSocket socket) {
     ~SessionGuard() { counter.fetch_sub(1, std::memory_order_relaxed); }
   } guard{active_sessions_};
 
-  Bytes frame;
   if (options_.max_sessions > 0 && concurrent > options_.max_sessions) {
     stats_.sessions_rejected_busy.fetch_add(1, std::memory_order_relaxed);
     Metrics().busy_rejects.Add();
-    if (net::RecvFrame(socket, frame).ok()) {
+    if (net::FrameBuffer frame; net::RecvFrame(socket, frame).ok()) {
       // dpfs:unchecked(best-effort courtesy reply before dropping the
       // session; the client treats a vanished connection the same way)
-      (void)net::SendFrame(
-          socket, net::EncodeReply(
-                      ResourceExhaustedError("server busy, retry later"), {}));
+      (void)net::SendReply(
+          socket, {ResourceExhaustedError("server busy, retry later"), {}});
     }
     return;
   }
@@ -218,6 +216,8 @@ void MetadService::Session(net::TcpSocket socket) {
   } inflight_guard{Metrics().inflight};
 
   while (!stopping_.load(std::memory_order_relaxed)) {
+    // Per request, so an idle session holds no frame buffer.
+    net::FrameBuffer frame;
     const Status received = net::RecvFrame(socket, frame);
     if (!received.ok()) {
       // kUnavailable at a frame boundary is a normal client disconnect.
@@ -227,7 +227,7 @@ void MetadService::Session(net::TcpSocket socket) {
       }
       return;
     }
-    Bytes reply = HandleRequest(frame);
+    net::Reply reply = HandleRequest(frame.bytes());
     if (auto fp = failpoint::Check("metad.reply")) {
       if (fp->action == failpoint::Action::kDisconnect) {
         // Drop the session with the reply unsent: the client cannot know
@@ -237,10 +237,10 @@ void MetadService::Session(net::TcpSocket socket) {
       }
       if (fp->action == failpoint::Action::kReturnError) {
         stats_.errors.fetch_add(1, std::memory_order_relaxed);
-        reply = net::EncodeReply(fp->status, {});
+        reply = net::Reply{fp->status, {}};
       }
     }
-    const Status sent = net::SendFrame(socket, reply);
+    const Status sent = net::SendReply(socket, reply);
     if (!sent.ok()) {
       stats_.errors.fetch_add(1, std::memory_order_relaxed);
       return;
@@ -248,7 +248,7 @@ void MetadService::Session(net::TcpSocket socket) {
   }
 }
 
-Bytes MetadService::HandleRequest(ByteSpan frame) {
+net::Reply MetadService::HandleRequest(ByteSpan frame) {
   stats_.requests.fetch_add(1, std::memory_order_relaxed);
   const Result<net::DecodedRequest> decoded = net::DecodeRequest(frame);
   if (!decoded.ok()) {
@@ -285,7 +285,8 @@ Bytes MetadService::HandleRequest(ByteSpan frame) {
 // dpfs:blocking-ok(the metadata service intentionally executes durable
 // namespace mutations on its loop thread: the WAL commit *is* the service
 // time the client is waiting for, and §3.1 serializes metadata ops anyway)
-Bytes MetadService::Dispatch(net::MessageType type, BinaryReader& reader) {
+net::Reply MetadService::Dispatch(net::MessageType type,
+                                   BinaryReader& reader) {
   switch (type) {
     case net::MessageType::kPing:
       return StatusReply(Status::Ok());
@@ -298,7 +299,7 @@ Bytes MetadService::Dispatch(net::MessageType type, BinaryReader& reader) {
     case net::MessageType::kMetrics: {
       BinaryWriter body;
       body.WriteString(metrics::Registry::Global().TextSnapshot());
-      return net::EncodeReply(Status::Ok(), body.buffer());
+      return net::Reply{Status::Ok(), std::move(body).TakeBuffer()};
     }
 
     case net::MessageType::kMetaRegisterServer: {
@@ -330,7 +331,7 @@ Bytes MetadService::Dispatch(net::MessageType type, BinaryReader& reader) {
       if (!server.ok()) return StatusReply(server.status());
       BinaryWriter body;
       client::meta_wire::EncodeServerInfo(server.value(), body);
-      return net::EncodeReply(Status::Ok(), body.buffer());
+      return net::Reply{Status::Ok(), std::move(body).TakeBuffer()};
     }
 
     case net::MessageType::kMetaCreateFile: {

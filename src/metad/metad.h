@@ -94,9 +94,9 @@ class MetadService {
   void AcceptLoop();
   void Session(net::TcpSocket socket);
   /// Decodes one request frame, counts/times it per opcode, and dispatches.
-  Bytes HandleRequest(ByteSpan frame);
-  /// The per-opcode service switch; returns the reply payload.
-  Bytes Dispatch(net::MessageType type, BinaryReader& reader);
+  net::Reply HandleRequest(ByteSpan frame);
+  /// The per-opcode service switch; returns the reply status and body.
+  net::Reply Dispatch(net::MessageType type, BinaryReader& reader);
   /// kShutdown's engine-appropriate "stop taking connections" signal.
   void StopAcceptingAsync();
 

@@ -49,14 +49,24 @@ bool ServerConnection::PeerClosed() const noexcept {
   return false;  // unread bytes pending — the next Call will sort it out
 }
 
-Result<Bytes> ServerConnection::Call(MessageType type, ByteSpan body) {
+Result<ReplyBody> ServerConnection::Call(MessageType type, ByteSpan body) {
+  return CallGathered(type, std::span<const ByteSpan>(&body, 1));
+}
+
+Result<ReplyBody> ServerConnection::CallGathered(
+    MessageType type, std::span<const ByteSpan> body) {
   DPFS_FAILPOINT_RETURN("client.call");
-  const Bytes request = EncodeRequest(type, body);
+  // The request envelope is the opcode byte, sent ahead of the body parts.
+  const std::uint8_t opcode = static_cast<std::uint8_t>(type);
+  std::vector<ByteSpan> request;
+  request.reserve(body.size() + 1);
+  request.push_back({&opcode, 1});
+  request.insert(request.end(), body.begin(), body.end());
   DPFS_RETURN_IF_ERROR(
       SendFrame(socket_, request)
           .WithContext("send " + std::string(MessageTypeName(type)) + " to " +
                        endpoint_.ToString()));
-  Bytes reply_frame;
+  FrameBuffer reply_frame;
   const Status received = RecvFrame(socket_, reply_frame);
   if (!received.ok()) {
     // Any reply-path transport failure — clean close, mid-frame close
@@ -73,12 +83,14 @@ Result<Bytes> ServerConnection::Call(MessageType type, ByteSpan body) {
     }
     return context;
   }
-  DPFS_ASSIGN_OR_RETURN(const DecodedReply reply, DecodeReply(reply_frame));
+  DPFS_ASSIGN_OR_RETURN(const DecodedReply reply,
+                        DecodeReply(reply_frame.bytes()));
   if (!reply.status.ok()) return reply.status;
-  return Bytes(reply.body.begin(), reply.body.end());
+  const std::size_t offset = reply_frame.size() - reply.body.size();
+  return ReplyBody(std::move(reply_frame), offset);
 }
 
-Result<Bytes> ServerConnection::Read(
+Result<ReplyBody> ServerConnection::Read(
     const std::string& subfile, const std::vector<ReadFragment>& fragments) {
   ReadRequest request;
   request.subfile = subfile;
@@ -95,12 +107,12 @@ Status ServerConnection::Write(const std::string& subfile,
   request.subfile = subfile;
   request.sync = sync;
   request.fragments = std::move(fragments);
-  BinaryWriter body;
+  GatherWriter body;
   request.Encode(body);
-  return Call(MessageType::kWrite, body.buffer()).status();
+  return CallGathered(MessageType::kWrite, body.Parts()).status();
 }
 
-Result<Bytes> ServerConnection::ListRead(
+Result<ReplyBody> ServerConnection::ListRead(
     const std::string& subfile, const std::vector<ReadFragment>& extents) {
   ListReadRequest request;
   request.subfile = subfile;
@@ -118,17 +130,17 @@ Status ServerConnection::ListWrite(const std::string& subfile,
   request.sync = sync;
   request.extents = extents;
   request.data = std::move(data);
-  BinaryWriter body;
+  GatherWriter body;
   request.Encode(body);
-  return Call(MessageType::kListWrite, body.buffer()).status();
+  return CallGathered(MessageType::kListWrite, body.Parts()).status();
 }
 
 Result<StatReply> ServerConnection::Stat(const std::string& subfile) {
   BinaryWriter body;
   body.WriteString(subfile);
-  DPFS_ASSIGN_OR_RETURN(const Bytes reply, Call(MessageType::kStat,
-                                                body.buffer()));
-  BinaryReader reader(reply);
+  DPFS_ASSIGN_OR_RETURN(const ReplyBody reply,
+                        Call(MessageType::kStat, body.buffer()));
+  BinaryReader reader(reply.bytes());
   StatReply stat;
   DPFS_ASSIGN_OR_RETURN(stat.exists, reader.ReadBool());
   DPFS_ASSIGN_OR_RETURN(stat.size, reader.ReadU64());
@@ -136,14 +148,14 @@ Result<StatReply> ServerConnection::Stat(const std::string& subfile) {
 }
 
 Result<StatsReply> ServerConnection::Stats() {
-  DPFS_ASSIGN_OR_RETURN(const Bytes reply, Call(MessageType::kStats, {}));
-  BinaryReader reader(reply);
+  DPFS_ASSIGN_OR_RETURN(const ReplyBody reply, Call(MessageType::kStats, {}));
+  BinaryReader reader(reply.bytes());
   return StatsReply::Decode(reader);
 }
 
 Result<std::string> ServerConnection::Metrics() {
-  DPFS_ASSIGN_OR_RETURN(const Bytes reply, Call(MessageType::kMetrics, {}));
-  BinaryReader reader(reply);
+  DPFS_ASSIGN_OR_RETURN(const ReplyBody reply, Call(MessageType::kMetrics, {}));
+  BinaryReader reader(reply.bytes());
   return reader.ReadString();
 }
 
@@ -170,8 +182,8 @@ Status ServerConnection::Rename(const std::string& from,
 }
 
 Result<std::vector<SubfileInfo>> ServerConnection::List() {
-  DPFS_ASSIGN_OR_RETURN(const Bytes reply, Call(MessageType::kList, {}));
-  BinaryReader reader(reply);
+  DPFS_ASSIGN_OR_RETURN(const ReplyBody reply, Call(MessageType::kList, {}));
+  BinaryReader reader(reply.bytes());
   DPFS_ASSIGN_OR_RETURN(const std::uint32_t count, reader.ReadU32());
   std::vector<SubfileInfo> out;
   out.reserve(count);

@@ -29,6 +29,26 @@ struct Endpoint {
   friend bool operator==(const Endpoint&, const Endpoint&) = default;
 };
 
+/// A reply body, viewed in place in the received frame: nothing is copied
+/// out of it. Move-only.
+class ReplyBody {
+ public:
+  [[nodiscard]] ByteSpan bytes() const noexcept {
+    return frame_.bytes().subspan(offset_);
+  }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return frame_.size() - offset_;
+  }
+
+ private:
+  friend class ServerConnection;
+  ReplyBody(FrameBuffer frame, std::size_t offset)
+      : frame_(std::move(frame)), offset_(offset) {}
+
+  FrameBuffer frame_;
+  std::size_t offset_ = 0;
+};
+
 class ServerConnection {
  public:
   static Result<ServerConnection> Connect(const Endpoint& endpoint);
@@ -39,10 +59,11 @@ class ServerConnection {
   /// Reads the fragments of `subfile`; returns their bytes concatenated in
   /// request order. Fragments past EOF read as zeroes (unwritten brick
   /// slots are holes in the sparse subfile).
-  Result<Bytes> Read(const std::string& subfile,
-                     const std::vector<ReadFragment>& fragments);
+  Result<ReplyBody> Read(const std::string& subfile,
+                         const std::vector<ReadFragment>& fragments);
 
-  /// Writes all fragments; `sync` forces fsync before the reply.
+  /// Writes all fragments; `sync` forces fsync before the reply. The
+  /// fragments' bytes go out from where they are, not copied into a frame.
   Status Write(const std::string& subfile,
                std::vector<WriteFragment> fragments, bool sync = false);
 
@@ -50,8 +71,8 @@ class ServerConnection {
   /// in one round trip; returns their bytes concatenated in extent order.
   /// Extents must obey the wire rules (non-empty, strictly ascending,
   /// non-overlapping) or the server rejects the request at decode time.
-  Result<Bytes> ListRead(const std::string& subfile,
-                         const std::vector<ReadFragment>& extents);
+  Result<ReplyBody> ListRead(const std::string& subfile,
+                             const std::vector<ReadFragment>& extents);
 
   /// List write: scatters one batched payload (its size must equal the sum
   /// of the extent lengths) into the extents of `subfile` in order.
@@ -88,11 +109,15 @@ class ServerConnection {
   /// the I/O opcodes; the remote metadata manager drives the kMeta* opcodes
   /// through this directly (its body codecs live in client/meta_wire.h,
   /// above net in the build graph).
-  Result<Bytes> Call(MessageType type, ByteSpan body);
+  Result<ReplyBody> Call(MessageType type, ByteSpan body);
 
  private:
   ServerConnection(TcpSocket socket, Endpoint endpoint)
       : socket_(std::move(socket)), endpoint_(std::move(endpoint)) {}
+
+  /// Call with the body as parts (GatherWriter::Parts).
+  Result<ReplyBody> CallGathered(MessageType type,
+                                 std::span<const ByteSpan> body);
 
   TcpSocket socket_;
   Endpoint endpoint_;

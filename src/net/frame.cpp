@@ -1,29 +1,77 @@
 #include "net/frame.h"
 
+#include <array>
+#include <cstring>
+
 #include "common/crc32.h"
 
 namespace dpfs::net {
 
-Status SendFrame(TcpSocket& socket, ByteSpan payload) {
-  if (payload.size() > kMaxFrameBytes) {
+namespace {
+
+using FrameHeader = std::array<std::uint8_t, 8>;
+
+// [u32 length][u32 crc32c] of the payload `parts` make up.
+Result<FrameHeader> EncodeHeader(std::span<const ByteSpan> parts) {
+  std::uint64_t length = 0;
+  for (const ByteSpan part : parts) length += part.size();
+  if (length > kMaxFrameBytes) {
     return InvalidArgumentError("frame exceeds maximum size");
   }
+  std::uint32_t crc = 0;
+  for (const ByteSpan part : parts) crc = Crc32cExtend(crc, part);
   BinaryWriter header;
-  header.WriteU32(static_cast<std::uint32_t>(payload.size()));
-  header.WriteU32(Crc32c(payload));
-  DPFS_RETURN_IF_ERROR(socket.SendAll(header.buffer()));
-  return socket.SendAll(payload);
+  header.WriteU32(static_cast<std::uint32_t>(length));
+  header.WriteU32(crc);
+  FrameHeader out{};
+  std::memcpy(out.data(), header.buffer().data(), out.size());
+  return out;
+}
+
+}  // namespace
+
+Status SendFrame(TcpSocket& socket, std::span<const ByteSpan> parts) {
+  DPFS_ASSIGN_OR_RETURN(const FrameHeader header, EncodeHeader(parts));
+  std::vector<ByteSpan> frame;
+  frame.reserve(parts.size() + 1);
+  frame.push_back(header);
+  frame.insert(frame.end(), parts.begin(), parts.end());
+  return socket.SendAll(frame);
+}
+
+Status SendFrame(TcpSocket& socket, ByteSpan payload) {
+  return SendFrame(socket, std::span<const ByteSpan>(&payload, 1));
+}
+
+Status SendReply(TcpSocket& socket, const Reply& reply) {
+  const Bytes envelope = EncodeReplyEnvelope(reply.status);
+  const ByteSpan parts[] = {envelope, reply.body};
+  return SendFrame(socket, parts);
+}
+
+Status AppendFrame(Bytes& out, std::span<const ByteSpan> parts) {
+  DPFS_ASSIGN_OR_RETURN(const FrameHeader header, EncodeHeader(parts));
+  std::size_t length = header.size();
+  for (const ByteSpan part : parts) length += part.size();
+  out.reserve(out.size() + length);
+  out.insert(out.end(), header.begin(), header.end());
+  for (const ByteSpan part : parts) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return Status::Ok();
+}
+
+Status AppendReply(Bytes& out, const Reply& reply) {
+  const Bytes envelope = EncodeReplyEnvelope(reply.status);
+  const ByteSpan parts[] = {envelope, reply.body};
+  return AppendFrame(out, parts);
 }
 
 Result<Bytes> EncodeFrame(ByteSpan payload) {
-  if (payload.size() > kMaxFrameBytes) {
-    return InvalidArgumentError("frame exceeds maximum size");
-  }
-  BinaryWriter frame;
-  frame.WriteU32(static_cast<std::uint32_t>(payload.size()));
-  frame.WriteU32(Crc32c(payload));
-  frame.WriteRaw(payload);
-  return std::move(frame).TakeBuffer();
+  Bytes frame;
+  DPFS_RETURN_IF_ERROR(
+      AppendFrame(frame, std::span<const ByteSpan>(&payload, 1)));
+  return frame;
 }
 
 void FrameDecoder::Append(ByteSpan data) {
@@ -58,7 +106,7 @@ Result<bool> FrameDecoder::Next(Bytes& payload) {
   return true;
 }
 
-Status RecvFrame(TcpSocket& socket, Bytes& payload) {
+Status RecvFrame(TcpSocket& socket, FrameBuffer& payload) {
   std::uint8_t header[8];
   DPFS_RETURN_IF_ERROR(socket.RecvExact({header, sizeof(header)}));
   BinaryReader reader(AsBytes(header, sizeof(header)));
@@ -68,13 +116,38 @@ Status RecvFrame(TcpSocket& socket, Bytes& payload) {
     return ProtocolError("frame length " + std::to_string(length) +
                          " exceeds maximum");
   }
-  payload.resize(length);
-  if (length > 0) {
-    DPFS_RETURN_IF_ERROR(socket.RecvExact({payload.data(), payload.size()}));
+  payload = FrameBuffer();  // release the previous frame first
+  std::size_t capacity = std::min<std::size_t>(length, kEagerFrameBytes);
+  payload.data_ = std::make_unique_for_overwrite<std::uint8_t[]>(capacity);
+  while (payload.size_ < length) {
+    if (payload.size_ == capacity) {
+      capacity = std::min<std::size_t>(length, 2 * capacity);
+      auto grown = std::make_unique_for_overwrite<std::uint8_t[]>(capacity);
+      std::memcpy(grown.get(), payload.data_.get(), payload.size_);
+      payload.data_ = std::move(grown);
+    }
+    const MutableByteSpan room(payload.data_.get() + payload.size_,
+                               capacity - payload.size_);
+    const Status received = socket.RecvExact(room);
+    if (!received.ok()) {
+      // The header is in, so a close from here on truncates the frame.
+      if (received.code() == StatusCode::kUnavailable) {
+        return ProtocolError("frame truncated: " + received.message());
+      }
+      return received;
+    }
+    payload.size_ += room.size();
   }
-  if (Crc32c(payload) != crc) {
+  if (Crc32c(payload.bytes()) != crc) {
     return DataLossError("frame checksum mismatch");
   }
+  return Status::Ok();
+}
+
+Status RecvFrame(TcpSocket& socket, Bytes& payload) {
+  FrameBuffer frame;
+  DPFS_RETURN_IF_ERROR(RecvFrame(socket, frame));
+  payload.assign(frame.bytes().begin(), frame.bytes().end());
   return Status::Ok();
 }
 

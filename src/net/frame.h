@@ -3,10 +3,21 @@
 // Frame layout: [u32 payload_len][u32 crc32c(payload)][payload bytes].
 // The CRC catches corruption that TCP's 16-bit checksum can miss on the
 // long-haul heterogeneous links DPFS targets.
+//
+// A payload may be handed over as several parts (an envelope, then body
+// fields, then bulk bytes where they already live): the CRC is extended
+// over the parts and the header and parts leave in one gathered send, so
+// no part is copied into a frame buffer. The bytes on the wire are those of
+// the concatenated payload.
 #pragma once
+
+#include <cstdint>
+#include <memory>
+#include <span>
 
 #include "common/bytes.h"
 #include "common/status.h"
+#include "net/messages.h"
 #include "net/socket.h"
 
 namespace dpfs::net {
@@ -14,17 +25,50 @@ namespace dpfs::net {
 /// Hard cap on a single frame; combined brick requests stay well below.
 inline constexpr std::uint64_t kMaxFrameBytes = 1ull << 30;  // 1 GiB
 
+/// Frames up to this size get their whole payload buffer when the header
+/// arrives; larger ones start here and double as bytes arrive. The buffer is
+/// not zero-filled, so pages no byte has reached yet cost no memory, and a
+/// peer that announces a huge frame and stops pins at most this much.
+inline constexpr std::size_t kEagerFrameBytes = 8u << 20;
+
+/// Sends one frame whose payload is `parts` back to back, as one gathered
+/// send of [header][parts...].
+Status SendFrame(TcpSocket& socket, std::span<const ByteSpan> parts);
 Status SendFrame(TcpSocket& socket, ByteSpan payload);
 
-/// Receives one frame into `payload`. kUnavailable on clean peer close
-/// before any byte of a frame, kDataLoss on checksum mismatch.
-Status RecvFrame(TcpSocket& socket, Bytes& payload);
+/// Sends `reply` as one frame: its envelope, then its body.
+Status SendReply(TcpSocket& socket, const Reply& reply);
+
+/// Appends one frame (header, then `parts`) to `out`. The event-loop server
+/// queues replies this way on per-connection write buffers so a partial send
+/// can resume mid-frame (docs/ASYNC_SERVER.md); the bytes equal SendFrame's.
+Status AppendFrame(Bytes& out, std::span<const ByteSpan> parts);
+Status AppendReply(Bytes& out, const Reply& reply);
 
 /// Encodes one frame (header + payload) into a single contiguous buffer.
-/// The event-loop server queues these on per-connection write buffers so a
-/// partial send can resume mid-frame (docs/ASYNC_SERVER.md); SendFrame's
-/// two-part send is equivalent on the wire.
 Result<Bytes> EncodeFrame(ByteSpan payload);
+
+/// One received frame payload (RecvFrame). Its storage is not zero-filled:
+/// recv overwrites every byte. Move-only.
+class FrameBuffer {
+ public:
+  [[nodiscard]] ByteSpan bytes() const noexcept { return {data_.get(), size_}; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+ private:
+  friend Status RecvFrame(TcpSocket& socket, FrameBuffer& payload);
+
+  std::unique_ptr<std::uint8_t[]> data_;
+  std::size_t size_ = 0;
+};
+
+/// Receives one frame into `payload`, replacing what it held. kUnavailable
+/// on clean peer close before any byte of a frame, kProtocolError on a close
+/// mid-frame or an over-cap length, kDataLoss on checksum mismatch. Memory is
+/// committed only as payload bytes arrive (see kEagerFrameBytes).
+Status RecvFrame(TcpSocket& socket, FrameBuffer& payload);
+/// The same, copied into a vector (tests, recording proxies).
+Status RecvFrame(TcpSocket& socket, Bytes& payload);
 
 /// Incremental frame decoder for nonblocking sockets: feed whatever bytes
 /// arrive with Append(), pull complete payloads with Next(). Byte-at-a-time

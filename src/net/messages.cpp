@@ -2,6 +2,31 @@
 
 namespace dpfs::net {
 
+void GatherWriter::WriteBytes(ByteSpan bytes) {
+  if (bytes.size() < kGatherMinBytes) {
+    fields_.WriteBytes(bytes);
+    return;
+  }
+  fields_.WriteU32(static_cast<std::uint32_t>(bytes.size()));
+  refs_.push_back({fields_.size(), bytes});
+}
+
+std::vector<ByteSpan> GatherWriter::Parts() const {
+  const ByteSpan fields = fields_.buffer();
+  std::vector<ByteSpan> parts;
+  parts.reserve(2 * refs_.size() + 1);
+  std::size_t begin = 0;
+  for (const Ref& ref : refs_) {
+    if (ref.fields_end > begin) {
+      parts.push_back(fields.subspan(begin, ref.fields_end - begin));
+    }
+    parts.push_back(ref.bytes);
+    begin = ref.fields_end;
+  }
+  if (fields.size() > begin) parts.push_back(fields.subspan(begin));
+  return parts;
+}
+
 std::string_view MessageTypeName(MessageType type) noexcept {
   switch (type) {
     case MessageType::kPing: return "ping";
@@ -99,14 +124,20 @@ std::uint64_t WriteRequest::total_bytes() const noexcept {
   return total;
 }
 
-void WriteRequest::Encode(BinaryWriter& writer) const {
-  writer.WriteString(subfile);
-  writer.WriteBool(sync);
-  writer.WriteU32(static_cast<std::uint32_t>(fragments.size()));
+void WriteRequest::Encode(GatherWriter& writer) const {
+  writer.fields().WriteString(subfile);
+  writer.fields().WriteBool(sync);
+  writer.fields().WriteU32(static_cast<std::uint32_t>(fragments.size()));
   for (const WriteFragment& fragment : fragments) {
-    writer.WriteU64(fragment.offset);
+    writer.fields().WriteU64(fragment.offset);
     writer.WriteBytes(fragment.data);
   }
+}
+
+void WriteRequest::Encode(BinaryWriter& writer) const {
+  GatherWriter gathered;
+  Encode(gathered);
+  for (const ByteSpan part : gathered.Parts()) writer.WriteRaw(part);
 }
 
 Result<WriteRequest> WriteRequest::Decode(BinaryReader& reader) {
@@ -199,11 +230,17 @@ std::uint64_t ListWriteRequest::total_bytes() const noexcept {
   return total;
 }
 
-void ListWriteRequest::Encode(BinaryWriter& writer) const {
-  writer.WriteString(subfile);
-  writer.WriteBool(sync);
-  EncodeListExtents(writer, extents);
+void ListWriteRequest::Encode(GatherWriter& writer) const {
+  writer.fields().WriteString(subfile);
+  writer.fields().WriteBool(sync);
+  EncodeListExtents(writer.fields(), extents);
   writer.WriteBytes(data);
+}
+
+void ListWriteRequest::Encode(BinaryWriter& writer) const {
+  GatherWriter gathered;
+  Encode(gathered);
+  for (const ByteSpan part : gathered.Parts()) writer.WriteRaw(part);
 }
 
 Result<ListWriteRequest> ListWriteRequest::Decode(BinaryReader& reader) {
@@ -229,10 +266,15 @@ Bytes EncodeRequest(MessageType type, ByteSpan body) {
   return std::move(writer).TakeBuffer();
 }
 
-Bytes EncodeReply(const Status& status, ByteSpan body) {
+Bytes EncodeReplyEnvelope(const Status& status) {
   BinaryWriter writer;
   writer.WriteU8(static_cast<std::uint8_t>(status.code()));
   writer.WriteString(status.message());
+  return std::move(writer).TakeBuffer();
+}
+
+Bytes EncodeReply(const Status& status, ByteSpan body) {
+  BinaryWriter writer(EncodeReplyEnvelope(status));
   writer.WriteRaw(body);
   return std::move(writer).TakeBuffer();
 }

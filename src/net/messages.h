@@ -87,6 +87,35 @@ struct SubfileInfo {
 
 std::string_view MessageTypeName(MessageType type) noexcept;
 
+/// Encodes a message body as parts for a gathered send (frame.h
+/// SendFrame): fixed-width fields go into an owned buffer, and byte strings
+/// of kGatherMinBytes or more are referenced where they live, not copied.
+class GatherWriter {
+ public:
+  /// Shorter byte strings are copied: an iovec per few bytes costs more
+  /// than the copy.
+  static constexpr std::size_t kGatherMinBytes = 512;
+
+  /// Fixed-width fields and short strings (copied).
+  BinaryWriter& fields() noexcept { return fields_; }
+
+  /// A length-prefixed byte string. A referenced string must outlive every
+  /// use of Parts().
+  void WriteBytes(ByteSpan bytes);
+
+  /// The body so far, in order: views into this writer and the referenced
+  /// strings.
+  [[nodiscard]] std::vector<ByteSpan> Parts() const;
+
+ private:
+  struct Ref {
+    std::size_t fields_end;  // fields_ bytes that precede `bytes`
+    ByteSpan bytes;
+  };
+  BinaryWriter fields_;
+  std::vector<Ref> refs_;
+};
+
 /// One contiguous piece of a subfile.
 struct ReadFragment {
   std::uint64_t offset = 0;
@@ -117,6 +146,9 @@ struct WriteRequest {
   std::vector<WriteFragment> fragments;
 
   [[nodiscard]] std::uint64_t total_bytes() const noexcept;
+  /// Fragment data is referenced, not copied (the client's send path).
+  void Encode(GatherWriter& writer) const;
+  /// The same bytes, flattened into one buffer.
   void Encode(BinaryWriter& writer) const;
   static Result<WriteRequest> Decode(BinaryReader& reader);
 };
@@ -146,6 +178,9 @@ struct ListWriteRequest {
   Bytes data;  // batched payload, scattered in extent order
 
   [[nodiscard]] std::uint64_t total_bytes() const noexcept;
+  /// The payload is referenced, not copied (the client's send path).
+  void Encode(GatherWriter& writer) const;
+  /// The same bytes, flattened into one buffer.
   void Encode(BinaryWriter& writer) const;
   static Result<ListWriteRequest> Decode(BinaryReader& reader);
 };
@@ -170,8 +205,19 @@ struct StatsReply {
   static Result<StatsReply> Decode(BinaryReader& reader);
 };
 
+/// A reply as a server handler returns it: the status and the body apart.
+/// The envelope is encoded when the reply is framed, and the body follows
+/// it without being copied behind it (frame.h SendReply / AppendReply).
+struct Reply {
+  Status status;
+  Bytes body;
+};
+
 /// Envelope helpers.
 Bytes EncodeRequest(MessageType type, ByteSpan body);
+/// [u8 StatusCode][string message]: the reply payload up to its body.
+Bytes EncodeReplyEnvelope(const Status& status);
+/// The envelope and the body in one buffer.
 Bytes EncodeReply(const Status& status, ByteSpan body);
 
 struct DecodedRequest {

@@ -5,12 +5,14 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "common/failpoint.h"
 
@@ -18,18 +20,44 @@ namespace dpfs::net {
 
 namespace {
 
-/// Raw best-effort send of exactly `data` (the failpoints' partial-transfer
-/// helper; plain SendAll must not be reentered while shaping a transfer).
-void SendBestEffort(int fd, ByteSpan data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+/// Most parts one sendmsg call takes (well under IOV_MAX); longer part
+/// lists go out in several calls.
+constexpr std::size_t kMaxIovecs = 64;
+
+/// Writes every byte of `parts` with sendmsg, looping over partial sends.
+Status SendParts(int fd, std::span<const ByteSpan> parts) {
+  std::size_t part = 0;  // first part not fully sent
+  std::size_t done = 0;  // bytes of parts[part] already sent
+  iovec iov[kMaxIovecs];
+  for (;;) {
+    while (part < parts.size() && done == parts[part].size()) {
+      ++part;
+      done = 0;
+    }
+    if (part == parts.size()) return Status::Ok();
+    msghdr message{};
+    message.msg_iov = iov;
+    for (std::size_t i = part;
+         i < parts.size() && message.msg_iovlen < kMaxIovecs; ++i) {
+      const ByteSpan rest = i == part ? parts[i].subspan(done) : parts[i];
+      if (rest.empty()) continue;
+      iov[message.msg_iovlen++] = {const_cast<std::uint8_t*>(rest.data()),
+                                   rest.size()};
+    }
+    const ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return;
+      return UnavailableError(std::string("send: ") + std::strerror(errno));
     }
-    sent += static_cast<std::size_t>(n);
+    for (std::size_t sent = static_cast<std::size_t>(n); sent > 0;) {
+      const std::size_t step = std::min(sent, parts[part].size() - done);
+      done += step;
+      sent -= step;
+      if (done == parts[part].size()) {
+        ++part;
+        done = 0;
+      }
+    }
   }
 }
 
@@ -85,7 +113,7 @@ Status TcpSocket::SetNoDelay() {
   return Status::Ok();
 }
 
-Status TcpSocket::SendAll(ByteSpan data) {
+Status TcpSocket::SendAll(std::span<const ByteSpan> parts) {
   if (auto fp = failpoint::Check("net.send_all")) {
     switch (fp->action) {
       case failpoint::Action::kReturnError:
@@ -94,9 +122,16 @@ Status TcpSocket::SendAll(ByteSpan data) {
       case failpoint::Action::kDisconnect: {
         // Deliver only the first `arg` bytes, then sever the connection —
         // the peer observes a frame truncated mid-stream.
-        SendBestEffort(fd_, data.first(std::min<std::size_t>(
-                                 static_cast<std::size_t>(fp->arg),
-                                 data.size())));
+        std::vector<ByteSpan> prefix;
+        std::size_t budget = static_cast<std::size_t>(fp->arg);
+        for (const ByteSpan part : parts) {
+          if (budget == 0) break;
+          prefix.push_back(part.first(std::min(budget, part.size())));
+          budget -= prefix.back().size();
+        }
+        // dpfs:unchecked(best effort: the connection is severed next
+        // whatever reached the peer)
+        (void)SendParts(fd_, prefix);
         Close();
         return UnavailableError("send: connection reset (" +
                                 fp->status.message() + ")");
@@ -105,17 +140,11 @@ Status TcpSocket::SendAll(ByteSpan data) {
         break;
     }
   }
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n =
-        ::send(fd_, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return UnavailableError(std::string("send: ") + std::strerror(errno));
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return Status::Ok();
+  return SendParts(fd_, parts);
+}
+
+Status TcpSocket::SendAll(ByteSpan data) {
+  return SendAll(std::span<const ByteSpan>(&data, 1));
 }
 
 Status TcpSocket::RecvExact(MutableByteSpan data) {
@@ -217,18 +246,26 @@ Result<std::size_t> TcpSocket::SendSome(ByteSpan data) {
         limit = std::min<std::size_t>(limit,
                                       static_cast<std::size_t>(fp->arg));
         break;
-      case failpoint::Action::kDisconnect:
-        SendBestEffort(fd_, data.first(std::min<std::size_t>(
-                                 static_cast<std::size_t>(fp->arg),
-                                 data.size())));
+      case failpoint::Action::kDisconnect: {
+        const ByteSpan prefix = data.first(
+            std::min<std::size_t>(static_cast<std::size_t>(fp->arg),
+                                  data.size()));
+        // dpfs:unchecked(best effort: the connection is severed next
+        // whatever reached the peer)
+        // dpfs:blocking-ok(event-engine fds are O_NONBLOCK: sendmsg
+        // returns EAGAIN instead of parking the loop)
+        (void)SendParts(fd_, std::span<const ByteSpan>(&prefix, 1));
         Close();
         return UnavailableError("send: connection reset (" +
                                 fp->status.message() + ")");
+      }
       default:
         break;
     }
   }
   for (;;) {
+    // dpfs:blocking-ok(event-engine fds are O_NONBLOCK: send returns
+    // EAGAIN instead of parking the loop)
     const ssize_t n = ::send(fd_, data.data(), limit, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "common/bytes.h"
@@ -31,7 +32,11 @@ class TcpSocket {
   [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
   [[nodiscard]] int fd() const noexcept { return fd_; }
 
-  /// Writes the full span, looping over partial sends.
+  /// Writes every byte of `parts` in order with gathered sends (sendmsg),
+  /// looping over partial sends. Failpoint site "net.send_all" fires once
+  /// per call; its `arg` counts bytes from the start of the first part.
+  Status SendAll(std::span<const ByteSpan> parts);
+  /// The same for one contiguous span.
   Status SendAll(ByteSpan data);
 
   /// Reads exactly data.size() bytes, looping over partial receives.

@@ -309,12 +309,11 @@ bool EventLoop::ServiceBatch(int fd, Conn& conn) {
     }
     if (!has_frame.value()) break;
 
-    Bytes reply;
+    net::Reply reply;
     if (conn.reject_busy) {
       // §4.2: answer the first request with "busy" so the client backs off
       // and retries, then drop the session (remaining frames unserviced).
-      reply = net::EncodeReply(
-          ResourceExhaustedError("server busy, retry later"), {});
+      reply.status = ResourceExhaustedError("server busy, retry later");
       conn.paused_read = true;
       conn.close_after_flush = true;
     } else {
@@ -327,17 +326,14 @@ bool EventLoop::ServiceBatch(int fd, Conn& conn) {
         }
         if (fp->action == failpoint::Action::kReturnError) {
           stats_->errors.fetch_add(1, std::memory_order_relaxed);
-          reply = net::EncodeReply(fp->status, {});
+          reply = net::Reply{fp->status, {}};
         }
       }
     }
-    const Result<Bytes> encoded = net::EncodeFrame(reply);
-    if (!encoded.ok()) {
+    if (!net::AppendReply(conn.out, reply).ok()) {
       stats_->errors.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
-    conn.out.insert(conn.out.end(), encoded.value().begin(),
-                    encoded.value().end());
     if (conn.close_after_flush) break;
     if (stopping_.load(std::memory_order_acquire)) {
       // kShutdown just ran on this thread; finish its reply, service no
@@ -375,7 +371,12 @@ bool EventLoop::Flush(int fd, Conn& conn) {
     conn.out_off += sent.value();
   }
   if (conn.out_off == conn.out.size()) {
-    conn.out.clear();
+    // An idle connection keeps no buffer sized for its largest reply.
+    if (conn.out.capacity() > kReadChunk) {
+      conn.out = Bytes();
+    } else {
+      conn.out.clear();
+    }
     conn.out_off = 0;
   } else if (conn.out_off >= (256u << 10)) {
     conn.out.erase(conn.out.begin(),

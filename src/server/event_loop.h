@@ -67,8 +67,9 @@ class EventLoop {
     std::string reply_failpoint = "server.before_reply";
   };
 
-  /// Services one decoded request frame, returns the encoded reply payload.
-  using Handler = std::function<Bytes(ByteSpan)>;
+  /// Services one decoded request frame; returns the reply's status and
+  /// body, which the loop frames straight onto the connection's queue.
+  using Handler = std::function<net::Reply(ByteSpan)>;
 
   /// Takes ownership of a bound listener and starts the loop thread.
   static Result<std::unique_ptr<EventLoop>> Start(net::TcpListener listener,

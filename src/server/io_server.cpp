@@ -219,18 +219,16 @@ void IoServer::Session(net::TcpSocket socket) {
       reject_busy = true;
     }
   }
-  Bytes frame;
   if (reject_busy) {
     // §4.2's overloaded server: answer one request with "busy" so the
     // client backs off and retries, then drop the session.
     stats_.sessions_rejected_busy.fetch_add(1, std::memory_order_relaxed);
     Metrics().busy_rejects.Add();
-    if (net::RecvFrame(socket, frame).ok()) {
+    if (net::FrameBuffer frame; net::RecvFrame(socket, frame).ok()) {
       // dpfs:unchecked(best-effort courtesy reply before dropping the
       // session; the client treats a vanished connection the same way)
-      (void)net::SendFrame(
-          socket, net::EncodeReply(
-                      ResourceExhaustedError("server busy, retry later"), {}));
+      (void)net::SendReply(
+          socket, {ResourceExhaustedError("server busy, retry later"), {}});
     }
     return;
   }
@@ -244,6 +242,8 @@ void IoServer::Session(net::TcpSocket socket) {
   } inflight_guard{Metrics().inflight};
 
   while (!stopping_.load(std::memory_order_relaxed)) {
+    // Per request, so an idle session holds no frame buffer.
+    net::FrameBuffer frame;
     const Status received = net::RecvFrame(socket, frame);
     if (!received.ok()) {
       // kUnavailable at a frame boundary is a normal client disconnect.
@@ -253,7 +253,7 @@ void IoServer::Session(net::TcpSocket socket) {
       }
       return;
     }
-    Bytes reply = HandleRequest(frame);
+    net::Reply reply = HandleRequest(frame.bytes());
     if (auto fp = failpoint::Check("server.before_reply")) {
       if (fp->action == failpoint::Action::kDisconnect) {
         // Drop the session with the reply unsent: the client sees a dead
@@ -263,10 +263,10 @@ void IoServer::Session(net::TcpSocket socket) {
       }
       if (fp->action == failpoint::Action::kReturnError) {
         stats_.errors.fetch_add(1, std::memory_order_relaxed);
-        reply = net::EncodeReply(fp->status, {});
+        reply = net::Reply{fp->status, {}};
       }
     }
-    const Status sent = net::SendFrame(socket, reply);
+    const Status sent = net::SendReply(socket, reply);
     if (!sent.ok()) {
       stats_.errors.fetch_add(1, std::memory_order_relaxed);
       return;
@@ -274,13 +274,13 @@ void IoServer::Session(net::TcpSocket socket) {
   }
 }
 
-Bytes IoServer::HandleRequest(ByteSpan frame) {
+net::Reply IoServer::HandleRequest(ByteSpan frame) {
   stats_.requests.fetch_add(1, std::memory_order_relaxed);
   const Result<net::DecodedRequest> decoded = net::DecodeRequest(frame);
   if (!decoded.ok()) {
     stats_.errors.fetch_add(1, std::memory_order_relaxed);
     Metrics().bad_requests.Add();
-    return net::EncodeReply(decoded.status(), {});
+    return net::Reply{decoded.status(), {}};
   }
   const net::MessageType type = decoded.value().type;
   BinaryReader reader(decoded.value().body);
@@ -290,24 +290,25 @@ Bytes IoServer::HandleRequest(ByteSpan frame) {
     // not an I/O server — their slots in the per-op arrays stay null.
     stats_.errors.fetch_add(1, std::memory_order_relaxed);
     Metrics().bad_requests.Add();
-    return net::EncodeReply(
+    return net::Reply{
         ProtocolError(std::string(net::MessageTypeName(type)) +
                       " is a metadata opcode; not served by an I/O server"),
-        {});
+        {}};
   }
   Metrics().requests[op]->Add();
   metrics::ScopedTimer timer(*Metrics().service_time_us[op]);
   return Dispatch(type, reader);
 }
 
-Bytes IoServer::Dispatch(net::MessageType type, BinaryReader& reader) {
+net::Reply IoServer::Dispatch(net::MessageType type,
+                               BinaryReader& reader) {
   switch (type) {
     case net::MessageType::kPing:
-      return net::EncodeReply(Status::Ok(), {});
+      return net::Reply{Status::Ok(), {}};
 
     case net::MessageType::kRead: {
       Result<net::ReadRequest> request = net::ReadRequest::Decode(reader);
-      if (!request.ok()) return net::EncodeReply(request.status(), {});
+      if (!request.ok()) return net::Reply{request.status(), {}};
       if (options_.engine == ServerEngine::kEventLoop) {
         // Server-side request batching (docs/ASYNC_SERVER.md): adjacent
         // bricks collapse to one store op; reply bytes are unchanged, so
@@ -323,16 +324,16 @@ Bytes IoServer::Dispatch(net::MessageType type, BinaryReader& reader) {
                                request.value().fragments);
       if (!data.ok()) {
         stats_.errors.fetch_add(1, std::memory_order_relaxed);
-        return net::EncodeReply(data.status(), {});
+        return net::Reply{data.status(), {}};
       }
       stats_.bytes_read.fetch_add(data.value().size(),
                                   std::memory_order_relaxed);
-      return net::EncodeReply(Status::Ok(), data.value());
+      return net::Reply{Status::Ok(), std::move(data).value()};
     }
 
     case net::MessageType::kWrite: {
       Result<net::WriteRequest> request = net::WriteRequest::Decode(reader);
-      if (!request.ok()) return net::EncodeReply(request.status(), {});
+      if (!request.ok()) return net::Reply{request.status(), {}};
       const std::uint64_t payload = request.value().total_bytes();
       if (options_.engine == ServerEngine::kEventLoop) {
         const std::size_t before = request.value().fragments.size();
@@ -346,10 +347,10 @@ Bytes IoServer::Dispatch(net::MessageType type, BinaryReader& reader) {
                                                    request.value().sync);
       if (!written.ok()) {
         stats_.errors.fetch_add(1, std::memory_order_relaxed);
-        return net::EncodeReply(written, {});
+        return net::Reply{written, {}};
       }
       stats_.bytes_written.fetch_add(payload, std::memory_order_relaxed);
-      return net::EncodeReply(Status::Ok(), {});
+      return net::Reply{Status::Ok(), {}};
     }
 
     case net::MessageType::kListRead: {
@@ -358,7 +359,7 @@ Bytes IoServer::Dispatch(net::MessageType type, BinaryReader& reader) {
       // extents directly — same fragment machinery as kRead, one reply.
       Result<net::ListReadRequest> request =
           net::ListReadRequest::Decode(reader);
-      if (!request.ok()) return net::EncodeReply(request.status(), {});
+      if (!request.ok()) return net::Reply{request.status(), {}};
       Metrics().list_extents.Add(request.value().extents.size());
       if (options_.engine == ServerEngine::kEventLoop) {
         const std::size_t before = request.value().extents.size();
@@ -371,17 +372,17 @@ Bytes IoServer::Dispatch(net::MessageType type, BinaryReader& reader) {
                                                 request.value().extents);
       if (!data.ok()) {
         stats_.errors.fetch_add(1, std::memory_order_relaxed);
-        return net::EncodeReply(data.status(), {});
+        return net::Reply{data.status(), {}};
       }
       stats_.bytes_read.fetch_add(data.value().size(),
                                   std::memory_order_relaxed);
-      return net::EncodeReply(Status::Ok(), data.value());
+      return net::Reply{Status::Ok(), std::move(data).value()};
     }
 
     case net::MessageType::kListWrite: {
       Result<net::ListWriteRequest> request =
           net::ListWriteRequest::Decode(reader);
-      if (!request.ok()) return net::EncodeReply(request.status(), {});
+      if (!request.ok()) return net::Reply{request.status(), {}};
       Metrics().list_extents.Add(request.value().extents.size());
       const std::uint64_t payload = request.value().total_bytes();
       // Scatter the batched payload into per-extent fragments (the decoder
@@ -409,63 +410,63 @@ Bytes IoServer::Dispatch(net::MessageType type, BinaryReader& reader) {
           request.value().subfile, fragments, request.value().sync);
       if (!written.ok()) {
         stats_.errors.fetch_add(1, std::memory_order_relaxed);
-        return net::EncodeReply(written, {});
+        return net::Reply{written, {}};
       }
       stats_.bytes_written.fetch_add(payload, std::memory_order_relaxed);
-      return net::EncodeReply(Status::Ok(), {});
+      return net::Reply{Status::Ok(), {}};
     }
 
     case net::MessageType::kStat: {
       const Result<std::string> subfile = reader.ReadString();
-      if (!subfile.ok()) return net::EncodeReply(subfile.status(), {});
+      if (!subfile.ok()) return net::Reply{subfile.status(), {}};
       const Result<net::StatReply> stat = store_.Stat(subfile.value());
-      if (!stat.ok()) return net::EncodeReply(stat.status(), {});
+      if (!stat.ok()) return net::Reply{stat.status(), {}};
       BinaryWriter body;
       body.WriteBool(stat.value().exists);
       body.WriteU64(stat.value().size);
-      return net::EncodeReply(Status::Ok(), body.buffer());
+      return net::Reply{Status::Ok(), std::move(body).TakeBuffer()};
     }
 
     case net::MessageType::kDelete: {
       const Result<std::string> subfile = reader.ReadString();
-      if (!subfile.ok()) return net::EncodeReply(subfile.status(), {});
-      return net::EncodeReply(store_.Delete(subfile.value()), {});
+      if (!subfile.ok()) return net::Reply{subfile.status(), {}};
+      return net::Reply{store_.Delete(subfile.value()), {}};
     }
 
     case net::MessageType::kTruncate: {
       const Result<std::string> subfile = reader.ReadString();
-      if (!subfile.ok()) return net::EncodeReply(subfile.status(), {});
+      if (!subfile.ok()) return net::Reply{subfile.status(), {}};
       const Result<std::uint64_t> size = reader.ReadU64();
-      if (!size.ok()) return net::EncodeReply(size.status(), {});
-      return net::EncodeReply(
-          store_.Truncate(subfile.value(), size.value()), {});
+      if (!size.ok()) return net::Reply{size.status(), {}};
+      return net::Reply{
+          store_.Truncate(subfile.value(), size.value()), {}};
     }
 
     case net::MessageType::kList: {
       const Result<std::vector<net::SubfileInfo>> listing =
           store_.ListSubfiles();
-      if (!listing.ok()) return net::EncodeReply(listing.status(), {});
+      if (!listing.ok()) return net::Reply{listing.status(), {}};
       BinaryWriter body;
       body.WriteU32(static_cast<std::uint32_t>(listing.value().size()));
       for (const net::SubfileInfo& info : listing.value()) {
         body.WriteString(info.name);
         body.WriteU64(info.size);
       }
-      return net::EncodeReply(Status::Ok(), body.buffer());
+      return net::Reply{Status::Ok(), std::move(body).TakeBuffer()};
     }
 
     case net::MessageType::kRename: {
       const Result<std::string> from = reader.ReadString();
-      if (!from.ok()) return net::EncodeReply(from.status(), {});
+      if (!from.ok()) return net::Reply{from.status(), {}};
       const Result<std::string> to = reader.ReadString();
-      if (!to.ok()) return net::EncodeReply(to.status(), {});
-      return net::EncodeReply(store_.Rename(from.value(), to.value()), {});
+      if (!to.ok()) return net::Reply{to.status(), {}};
+      return net::Reply{store_.Rename(from.value(), to.value()), {}};
     }
 
     case net::MessageType::kShutdown:
       stopping_.store(true, std::memory_order_relaxed);
       StopAcceptingAsync();
-      return net::EncodeReply(Status::Ok(), {});
+      return net::Reply{Status::Ok(), {}};
 
     case net::MessageType::kStats: {
       net::StatsReply stats;
@@ -482,7 +483,7 @@ Bytes IoServer::Dispatch(net::MessageType type, BinaryReader& reader) {
       stats.stored_bytes = stored.ok() ? stored.value() : 0;
       BinaryWriter body;
       stats.Encode(body);
-      return net::EncodeReply(Status::Ok(), body.buffer());
+      return net::Reply{Status::Ok(), std::move(body).TakeBuffer()};
     }
 
     case net::MessageType::kMetrics: {
@@ -491,7 +492,7 @@ Bytes IoServer::Dispatch(net::MessageType type, BinaryReader& reader) {
       // deployment each dpfsd answers with its own process's snapshot.
       BinaryWriter body;
       body.WriteString(metrics::Registry::Global().TextSnapshot());
-      return net::EncodeReply(Status::Ok(), body.buffer());
+      return net::Reply{Status::Ok(), std::move(body).TakeBuffer()};
     }
 
     default:
@@ -499,7 +500,7 @@ Bytes IoServer::Dispatch(net::MessageType type, BinaryReader& reader) {
       // unreachable here, but the switch must stay total under -Wswitch.
       break;
   }
-  return net::EncodeReply(ProtocolError("unhandled message type"), {});
+  return net::Reply{ProtocolError("unhandled message type"), {}};
 }
 
 void IoServer::StopAcceptingAsync() {

@@ -154,7 +154,8 @@ TEST(FailureTest, ServerRestartOnSameRootServesOldData) {
   options.root_dir = root.path();
   auto server = server::IoServer::Start(std::move(options)).value();
   auto conn = net::ServerConnection::Connect(server->endpoint()).value();
-  EXPECT_EQ(conn.Read("/persist", {{0, 4}}).value(), (Bytes{1, 2, 3, 4}));
+  EXPECT_EQ(ToBytes(conn.Read("/persist", {{0, 4}}).value().bytes()),
+            (Bytes{1, 2, 3, 4}));
 }
 
 }  // namespace

@@ -47,6 +47,47 @@ TEST(WriteRequestTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded.total_bytes(), 5u);
 }
 
+TEST(WriteRequestTest, GatheredEncodeReferencesLongFragments) {
+  // Fragments of GatherWriter::kGatherMinBytes or more go out from where
+  // they live; shorter ones are copied into the fields. Either way the
+  // parts concatenate to the flattened encoding.
+  WriteRequest request;
+  request.subfile = "/g";
+  for (const std::size_t size :
+       {std::size_t{0}, std::size_t{10}, GatherWriter::kGatherMinBytes - 1,
+        GatherWriter::kGatherMinBytes, std::size_t{70000}}) {
+    request.fragments.push_back(
+        {size * 3, Bytes(size, static_cast<std::uint8_t>(size))});
+  }
+  GatherWriter gathered;
+  request.Encode(gathered);
+  const std::vector<ByteSpan> parts = gathered.Parts();
+  Bytes joined;
+  std::size_t referenced = 0;
+  for (const ByteSpan part : parts) {
+    joined.insert(joined.end(), part.begin(), part.end());
+    for (const WriteFragment& fragment : request.fragments) {
+      if (!fragment.data.empty() && part.data() == fragment.data.data()) {
+        ++referenced;
+      }
+    }
+  }
+  EXPECT_EQ(referenced, 2u);
+  BinaryWriter flat;
+  request.Encode(flat);
+  EXPECT_EQ(joined, flat.buffer());
+  BinaryReader reader(joined);
+  EXPECT_EQ(WriteRequest::Decode(reader).value().fragments, request.fragments);
+}
+
+TEST(EnvelopeTest, ReplyEnvelopeThenBodyIsTheReply) {
+  const Status status = NotFoundError("no such subfile");
+  const Bytes body = {4, 5, 6};
+  Bytes joined = EncodeReplyEnvelope(status);
+  joined.insert(joined.end(), body.begin(), body.end());
+  EXPECT_EQ(joined, EncodeReply(status, body));
+}
+
 TEST(EnvelopeTest, RequestRoundTrip) {
   const Bytes body = {10, 20, 30};
   const Bytes frame = EncodeRequest(MessageType::kRead, body);

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include "common/failpoint.h"
@@ -11,6 +13,21 @@
 
 namespace dpfs::net {
 namespace {
+
+// Peak resident set size of this process (VmHWM), in KiB.
+std::uint64_t PeakRssKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmHWM:") {
+      std::uint64_t kib = 0;
+      status >> kib;
+      return kib;
+    }
+    status.ignore(1 << 10, '\n');
+  }
+  return 0;
+}
 
 TEST(SocketTest, ConnectToListener) {
   TcpListener listener = TcpListener::Bind(0).value();
@@ -136,6 +153,98 @@ TEST(FrameTest, OversizeFrameRejectedOnSendAndRecv) {
   EXPECT_FALSE(received.ok());
   EXPECT_EQ(received.code(), StatusCode::kProtocolError);
   server.join();
+}
+
+TEST(FrameTest, AnnouncedFrameCommitsMemoryOnlyAsBytesArrive) {
+  // A peer announces a 256 MiB frame, sends none of it and closes. The
+  // receiver must fail without committing memory for the announced size.
+  TcpListener listener = TcpListener::Bind(0).value();
+  std::thread peer([&listener] {
+    TcpSocket conn = listener.Accept().value();
+    BinaryWriter writer;
+    writer.WriteU32(256u << 20);
+    writer.WriteU32(0);
+    ASSERT_TRUE(conn.SendAll(writer.buffer()).ok());
+    conn.Close();
+  });
+  TcpSocket client = TcpSocket::Connect("127.0.0.1", listener.port()).value();
+  const std::uint64_t before = PeakRssKiB();
+  Bytes payload;
+  const Status received = RecvFrame(client, payload);
+  const std::uint64_t after = PeakRssKiB();
+  peer.join();
+  EXPECT_FALSE(received.ok());
+  ASSERT_GT(before, 0u) << "VmHWM missing from /proc/self/status";
+  EXPECT_LT(after - before, 16u << 10) << "KiB of peak RSS added";
+}
+
+TEST(FrameTest, FrameLargerThanTheEagerBufferRoundTrips) {
+  // Past kEagerFrameBytes the receive buffer grows as bytes arrive.
+  TcpListener listener = TcpListener::Bind(0).value();
+  const std::size_t size = 2 * kEagerFrameBytes + 17;
+  Bytes payload(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 7 + (i >> 13));
+  }
+  std::thread peer([&listener, &payload] {
+    TcpSocket conn = listener.Accept().value();
+    ASSERT_TRUE(SendFrame(conn, payload).ok());
+  });
+  TcpSocket client = TcpSocket::Connect("127.0.0.1", listener.port()).value();
+  FrameBuffer received;
+  ASSERT_TRUE(RecvFrame(client, received).ok());
+  peer.join();
+  EXPECT_EQ(ToBytes(received.bytes()), payload);
+}
+
+TEST(FrameTest, GatheredPartsEqualTheConcatenatedFrame) {
+  // SendFrame over parts (empty ones included) puts the same bytes on the
+  // wire as EncodeFrame of their concatenation.
+  const Bytes a(3, 0xA1);
+  const Bytes b(70000, 0xB2);
+  const Bytes c(1, 0xC3);
+  Bytes whole;
+  for (const Bytes* part : {&a, &b, &c}) {
+    whole.insert(whole.end(), part->begin(), part->end());
+  }
+  const Bytes expected = EncodeFrame(whole).value();
+  const ByteSpan parts[] = {a, {}, b, c, {}};
+  Bytes appended = {0xEE};
+  ASSERT_TRUE(AppendFrame(appended, parts).ok());
+  EXPECT_EQ(Bytes(appended.begin() + 1, appended.end()), expected);
+
+  TcpListener listener = TcpListener::Bind(0).value();
+  std::thread peer([&listener, &parts] {
+    TcpSocket conn = listener.Accept().value();
+    ASSERT_TRUE(SendFrame(conn, parts).ok());
+  });
+  TcpSocket client = TcpSocket::Connect("127.0.0.1", listener.port()).value();
+  Bytes wire(expected.size());
+  ASSERT_TRUE(client.RecvExact({wire.data(), wire.size()}).ok());
+  peer.join();
+  EXPECT_EQ(wire, expected);
+}
+
+TEST(SocketTest, SendAllCoversMorePartsThanOneSendmsgTakes) {
+  // 300 parts: several sendmsg calls, each resuming mid-list.
+  std::vector<Bytes> pieces;
+  Bytes whole;
+  for (int i = 0; i < 300; ++i) {
+    pieces.emplace_back(static_cast<std::size_t>(1 + (i * 37) % 900),
+                        static_cast<std::uint8_t>(i));
+    whole.insert(whole.end(), pieces.back().begin(), pieces.back().end());
+  }
+  std::vector<ByteSpan> parts(pieces.begin(), pieces.end());
+  TcpListener listener = TcpListener::Bind(0).value();
+  std::thread peer([&listener, &parts] {
+    TcpSocket conn = listener.Accept().value();
+    ASSERT_TRUE(conn.SendAll(parts).ok());
+  });
+  TcpSocket client = TcpSocket::Connect("127.0.0.1", listener.port()).value();
+  Bytes received(whole.size());
+  ASSERT_TRUE(client.RecvExact({received.data(), received.size()}).ok());
+  peer.join();
+  EXPECT_EQ(received, whole);
 }
 
 TEST(ListenerTest, CloseUnblocksAccept) {

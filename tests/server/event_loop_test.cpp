@@ -113,10 +113,11 @@ TEST_F(EventLoopServerTest, AllOpcodesRoundTrip) {
   std::vector<net::WriteFragment> writes;
   writes.push_back({0, Bytes{1, 2, 3, 4, 5, 6, 7, 8}});
   ASSERT_TRUE(conn.Write("/data", std::move(writes)).ok());
-  EXPECT_EQ(conn.Read("/data", {{2, 4}}).value(), (Bytes{3, 4, 5, 6}));
+  EXPECT_EQ(ToBytes(conn.Read("/data", {{2, 4}}).value().bytes()),
+            (Bytes{3, 4, 5, 6}));
   // Out-of-order fragments must concatenate in request order (coalescing
   // must not reorder them).
-  EXPECT_EQ(conn.Read("/data", {{4, 2}, {0, 2}}).value(),
+  EXPECT_EQ(ToBytes(conn.Read("/data", {{4, 2}, {0, 2}}).value().bytes()),
             (Bytes{5, 6, 1, 2}));
 
   const net::StatReply stat = conn.Stat("/data").value();
@@ -221,8 +222,8 @@ TEST_F(EventLoopServerTest, AdjacentFragmentsCoalesceWithIdenticalBytes) {
   }
   ASSERT_TRUE(conn.Write("/c", std::move(writes)).ok());
   // Four adjacent read bricks -> one pread; concatenation unchanged.
-  EXPECT_EQ(conn.Read("/c", {{0, 64}, {64, 64}, {128, 64}, {192, 64}})
-                .value(),
+  EXPECT_EQ(ToBytes(conn.Read("/c", {{0, 64}, {64, 64}, {128, 64}, {192, 64}})
+                .value().bytes()),
             content);
   EXPECT_GE(coalesced.value(), before + 6);  // 3 merges each way
 }
@@ -251,9 +252,9 @@ TEST_F(EventLoopServerTest, ConcurrentClients) {
           failures.fetch_add(1);
           return;
         }
-        const Result<Bytes> read = connection.Read(
+        const Result<net::ReplyBody> read = connection.Read(
             subfile, {{static_cast<std::uint64_t>(op) * 256, 256}});
-        if (!read.ok() || read.value() != payload) {
+        if (!read.ok() || ToBytes(read.value().bytes()) != payload) {
           failures.fetch_add(1);
           return;
         }
@@ -347,7 +348,8 @@ TEST_F(EventLoopServerTest, ShortReadsAreReassembled) {
   std::vector<net::WriteFragment> writes;
   writes.push_back({0, Bytes(100, 7)});
   ASSERT_TRUE(conn.Write("/short", std::move(writes)).ok());
-  EXPECT_EQ(conn.Read("/short", {{0, 100}}).value(), Bytes(100, 7));
+  EXPECT_EQ(ToBytes(conn.Read("/short", {{0, 100}}).value().bytes()),
+            Bytes(100, 7));
   EXPECT_EQ(server_->stats().errors.load(), 0u);
 }
 
@@ -375,7 +377,8 @@ TEST_F(EventLoopServerTest, ShortWritesResumeMidFrame) {
   short_io.action = failpoint::Action::kShortIo;
   short_io.arg = 7;
   failpoint::Arm("net.send_some", short_io);
-  EXPECT_EQ(conn.Read("/sw", {{0, 4096}}).value(), Bytes(4096, 9));
+  EXPECT_EQ(ToBytes(conn.Read("/sw", {{0, 4096}}).value().bytes()),
+            Bytes(4096, 9));
   EXPECT_EQ(server_->stats().errors.load(), 0u);
 }
 

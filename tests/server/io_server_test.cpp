@@ -37,7 +37,7 @@ TEST_F(IoServerTest, WriteThenRead) {
   std::vector<net::WriteFragment> writes;
   writes.push_back({0, Bytes{1, 2, 3, 4, 5, 6, 7, 8}});
   ASSERT_TRUE(conn.Write("/data", std::move(writes)).ok());
-  const Bytes data = conn.Read("/data", {{2, 4}}).value();
+  const Bytes data = ToBytes(conn.Read("/data", {{2, 4}}).value().bytes());
   EXPECT_EQ(data, (Bytes{3, 4, 5, 6}));
 }
 
@@ -46,7 +46,7 @@ TEST_F(IoServerTest, MultiFragmentReadConcatenates) {
   std::vector<net::WriteFragment> writes;
   writes.push_back({0, Bytes{10, 11, 12, 13, 14, 15}});
   ASSERT_TRUE(conn.Write("/f", std::move(writes)).ok());
-  const Bytes data = conn.Read("/f", {{4, 2}, {0, 2}}).value();
+  const Bytes data = ToBytes(conn.Read("/f", {{4, 2}, {0, 2}}).value().bytes());
   EXPECT_EQ(data, (Bytes{14, 15, 10, 11}));
 }
 
@@ -72,7 +72,8 @@ TEST_F(IoServerTest, Truncate) {
 
 TEST_F(IoServerTest, PathEscapeReturnsErrorNotCrash) {
   net::ServerConnection conn = Connect();
-  const Result<Bytes> data = conn.Read("/../../etc/passwd", {{0, 4}});
+  const Result<net::ReplyBody> data =
+      conn.Read("/../../etc/passwd", {{0, 4}});
   EXPECT_FALSE(data.ok());
   // The connection survives the error reply.
   EXPECT_TRUE(conn.Ping().ok());
@@ -101,10 +102,10 @@ TEST_F(IoServerTest, ConcurrentClients) {
           failures.fetch_add(1);
           return;
         }
-        const Result<Bytes> read =
+        const Result<net::ReplyBody> read =
             connection.Read(subfile,
                             {{static_cast<std::uint64_t>(op) * 256, 256}});
-        if (!read.ok() || read.value() != payload) {
+        if (!read.ok() || ToBytes(read.value().bytes()) != payload) {
           failures.fetch_add(1);
           return;
         }

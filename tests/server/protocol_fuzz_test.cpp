@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include "client/meta_wire.h"
@@ -22,6 +24,21 @@
 
 namespace dpfs::server {
 namespace {
+
+// Peak resident set size of this process (VmHWM), in KiB.
+std::uint64_t PeakRssKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmHWM:") {
+      std::uint64_t kib = 0;
+      status >> kib;
+      return kib;
+    }
+    status.ignore(1 << 10, '\n');
+  }
+  return 0;
+}
 
 class ProtocolFuzzTest : public ::testing::TestWithParam<ServerEngine> {
  protected:
@@ -193,6 +210,52 @@ TEST_P(ProtocolFuzzTest, FailpointCutInsidePayloadAlsoCounts) {
   ExpectServerAlive();
 }
 
+TEST_P(ProtocolFuzzTest, GatheredWriteCutMidFrameCountsAndIsUnavailable) {
+  // A client Write leaves as one gathered send (header, envelope, fields,
+  // then the fragment's bytes from where they live). net.send_all fires
+  // once for the frame and `arg` counts from its first header byte: the
+  // cut lands 10 bytes into the payload, and the server sees a truncated
+  // frame, counts it, and stores nothing.
+  const std::uint64_t errors_before = server_->stats().errors.load();
+  net::ServerConnection conn =
+      net::ServerConnection::Connect(server_->endpoint()).value();
+
+  failpoint::Spec spec;
+  spec.action = failpoint::Action::kDisconnect;
+  spec.arg = 8 + 10;
+  spec.count = 1;
+  failpoint::Arm("net.send_all", spec);
+  const Status written =
+      conn.Write("/cut", {net::WriteFragment{0, Bytes(64 << 10, 0x5C)}});
+  EXPECT_EQ(written.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(failpoint::HitCount("net.send_all"), 1u);
+
+  WaitForErrors(errors_before + 1);
+  ExpectServerAlive();
+  net::ServerConnection probe =
+      net::ServerConnection::Connect(server_->endpoint()).value();
+  EXPECT_FALSE(probe.Stat("/cut").value().exists);
+}
+
+TEST_P(ProtocolFuzzTest, AnnouncedHugeFrameThenClosePinsNoMemory) {
+  // 256 MiB announced, nothing sent, connection closed: the session drops
+  // the truncated frame as an error without committing memory for it.
+  const std::uint64_t errors_before = server_->stats().errors.load();
+  const std::uint64_t before = PeakRssKiB();
+  {
+    net::TcpSocket socket =
+        net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
+    BinaryWriter writer;
+    writer.WriteU32(256u << 20);
+    writer.WriteU32(0);
+    ASSERT_TRUE(socket.SendAll(writer.buffer()).ok());
+  }
+  WaitForErrors(errors_before + 1);
+  ASSERT_GT(before, 0u) << "VmHWM missing from /proc/self/status";
+  EXPECT_LT(PeakRssKiB() - before, 16u << 10) << "KiB of peak RSS added";
+  ExpectServerAlive();
+}
+
 TEST_P(ProtocolFuzzTest, OversizedLengthJustPastTheCapDropsSession) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
@@ -337,7 +400,8 @@ TEST_P(ProtocolFuzzTest, InterleavedGoodAndBadClients) {
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
   ASSERT_TRUE(bad.SendAll(Bytes(3, 0xFF)).ok());
 
-  EXPECT_EQ(good.Read("/x", {{0, 3}}).value(), (Bytes{1, 2, 3}));
+  EXPECT_EQ(ToBytes(good.Read("/x", {{0, 3}}).value().bytes()),
+            (Bytes{1, 2, 3}));
   bad.Close();
   EXPECT_TRUE(good.Ping().ok());
 }
@@ -423,9 +487,10 @@ TEST_P(ProtocolFuzzTest, ListRoundTripOnBothEngines) {
   const std::vector<net::ReadFragment> extents = {{0, 4}, {64, 4}, {1024, 8}};
   Bytes payload = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};
   ASSERT_TRUE(conn.ListWrite("/lst", extents, payload).ok());
-  EXPECT_EQ(conn.ListRead("/lst", extents).value(), payload);
+  EXPECT_EQ(ToBytes(conn.ListRead("/lst", extents).value().bytes()), payload);
   // The non-list read path sees the same bytes at the scattered offsets.
-  EXPECT_EQ(conn.Read("/lst", {{64, 4}}).value(), (Bytes{5, 6, 7, 8}));
+  EXPECT_EQ(ToBytes(conn.Read("/lst", {{64, 4}}).value().bytes()),
+            (Bytes{5, 6, 7, 8}));
 }
 
 TEST_P(ProtocolFuzzTest, ListReadTruncatedExtentListGetsErrorReply) {
@@ -490,7 +555,8 @@ TEST_P(ProtocolFuzzTest, ListWritePayloadMismatchRejectedAndNothingWritten) {
   ASSERT_TRUE(net::RecvFrame(socket, reply).ok());
   EXPECT_EQ(net::DecodeReply(reply).value().status.code(),
             StatusCode::kProtocolError);
-  EXPECT_EQ(conn.Read("/lst", {{0, 16}}).value(), Bytes(16, 0xAA));
+  EXPECT_EQ(ToBytes(conn.Read("/lst", {{0, 16}}).value().bytes()),
+            Bytes(16, 0xAA));
   ExpectServerAlive();
 }
 

@@ -69,7 +69,7 @@ import argparse
 import json
 import re
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -114,8 +114,11 @@ BLOCKING_CALLEES = {
     "Accept": "TcpListener",
     "RecvFrame": None,
     "SendFrame": None,
+    "SendReply": None,
     "connect": None,
     "recv": None,
+    "send": None,
+    "sendmsg": None,
     "accept": None,
     # Lock waits park the thread until another thread signals.
     "Wait": "CondVar",
@@ -1306,11 +1309,14 @@ ALL_CHECKS = frozenset({
 })
 
 # check -> fixture file expected to trigger it (inside deep_lint_fixtures/).
+# (check, fixture) -> the number of findings the fixture seeds. Every
+# check needs at least one fixture.
 EXPECTED_SELF_TEST = {
-    "lock-order-cycle": "src/core/lock_cycle.cpp",
-    "reactor-blocking": "src/server/reactor_block.cpp",
-    "unchecked-status": "src/metadb/bad_discard.cpp",
-    "no-tsa-justification": "src/metadb/bad_discard.cpp",
+    ("lock-order-cycle", "src/core/lock_cycle.cpp"): 1,
+    ("reactor-blocking", "src/server/reactor_block.cpp"): 1,
+    ("reactor-blocking", "src/server/reactor_send.cpp"): 3,
+    ("unchecked-status", "src/metadb/bad_discard.cpp"): 1,
+    ("no-tsa-justification", "src/metadb/bad_discard.cpp"): 1,
 }
 CLEAN_FIXTURE = "src/core/clean_waived.cpp"
 
@@ -1324,18 +1330,20 @@ def run_self_test(fixtures: Path) -> int:
     violations += check_reactor_blocking(model, SELF_TEST_ROOTS)
     violations += check_error_paths(model)
 
-    found = {(v.check, v.path.as_posix()) for v in violations}
+    found = Counter((v.check, v.path.as_posix()) for v in violations)
     failures: list[str] = []
-    for check in sorted(ALL_CHECKS - set(EXPECTED_SELF_TEST)):
+    seeded = {check for check, _ in EXPECTED_SELF_TEST}
+    for check in sorted(ALL_CHECKS - seeded):
         failures.append(f"self-test: check '{check}' has no seeded fixture")
     for v in violations:
         if v.check not in ALL_CHECKS:
             failures.append(
                 f"self-test: check '{v.check}' missing from ALL_CHECKS")
-    for check, path in EXPECTED_SELF_TEST.items():
-        if (check, path) not in found:
+    for (check, path), count in EXPECTED_SELF_TEST.items():
+        if found[(check, path)] != count:
             failures.append(
-                f"self-test: check '{check}' did not fire on {path}")
+                f"self-test: check '{check}' fired {found[(check, path)]} "
+                f"time(s) on {path}, expected {count}")
     for v in violations:
         if v.path.as_posix() == CLEAN_FIXTURE:
             failures.append(
