@@ -64,8 +64,8 @@ void BM_FrameEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameEncode)->Arg(256 << 10);
 
-// The event engine's receive side: buffer the arrived bytes, check the
-// CRC, hand the payload out.
+// Incremental decode (net::FrameDecoder, as the perfbench trace replayer
+// uses it): buffer the arrived bytes, check the CRC, hand the payload out.
 void BM_FrameDecode(benchmark::State& state) {
   const Bytes frame =
       dpfs::net::EncodeFrame(
@@ -83,12 +83,11 @@ void BM_FrameDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameDecode)->Arg(256 << 10);
 
-// A read reply up to the send syscall, three ways. Concatenated: the
+// A read reply up to the send syscall, two ways. Concatenated: the
 // envelope and body copied into one payload, then into one frame (how the
-// servers built replies before gathered frames). Queued: the event
-// engine's write queue gets header, envelope and body (one copy). Gathered:
-// the thread engine's path, the envelope and the CRC over [envelope, body]
-// as SendFrame computes them before its sendmsg; the body is not copied.
+// servers built replies before gathered frames). Gathered: the servers'
+// path, the envelope and the CRC over [envelope, body] as SendFrame
+// computes them before its sendmsg; the body is not copied.
 void BM_ReplyAssemblyConcatenated(benchmark::State& state) {
   const Bytes body = RandomBytes(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -100,20 +99,6 @@ void BM_ReplyAssemblyConcatenated(benchmark::State& state) {
   SetBytes(state);
 }
 BENCHMARK(BM_ReplyAssemblyConcatenated)->Arg(256 << 10);
-
-void BM_ReplyAssemblyQueued(benchmark::State& state) {
-  const dpfs::net::Reply reply{
-      dpfs::Status::Ok(),
-      RandomBytes(static_cast<std::size_t>(state.range(0)))};
-  for (auto _ : state) {
-    Bytes out;
-    benchmark::DoNotOptimize(dpfs::net::AppendReply(out, reply).ok());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  SetBytes(state);
-}
-BENCHMARK(BM_ReplyAssemblyQueued)->Arg(256 << 10);
 
 void BM_ReplyAssemblyGathered(benchmark::State& state) {
   const dpfs::net::Reply reply{

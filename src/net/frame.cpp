@@ -61,12 +61,6 @@ Status AppendFrame(Bytes& out, std::span<const ByteSpan> parts) {
   return Status::Ok();
 }
 
-Status AppendReply(Bytes& out, const Reply& reply) {
-  const Bytes envelope = EncodeReplyEnvelope(reply.status);
-  const ByteSpan parts[] = {envelope, reply.body};
-  return AppendFrame(out, parts);
-}
-
 Result<Bytes> EncodeFrame(ByteSpan payload) {
   Bytes frame;
   DPFS_RETURN_IF_ERROR(

@@ -39,11 +39,9 @@ Status SendFrame(TcpSocket& socket, ByteSpan payload);
 /// Sends `reply` as one frame: its envelope, then its body.
 Status SendReply(TcpSocket& socket, const Reply& reply);
 
-/// Appends one frame (header, then `parts`) to `out`. The event-loop server
-/// queues replies this way on per-connection write buffers so a partial send
-/// can resume mid-frame (docs/ASYNC_SERVER.md); the bytes equal SendFrame's.
+/// Appends one frame (header, then `parts`) to `out`; the bytes equal
+/// SendFrame's.
 Status AppendFrame(Bytes& out, std::span<const ByteSpan> parts);
-Status AppendReply(Bytes& out, const Reply& reply);
 
 /// Encodes one frame (header + payload) into a single contiguous buffer.
 Result<Bytes> EncodeFrame(ByteSpan payload);
@@ -70,11 +68,11 @@ Status RecvFrame(TcpSocket& socket, FrameBuffer& payload);
 /// The same, copied into a vector (tests, recording proxies).
 Status RecvFrame(TcpSocket& socket, Bytes& payload);
 
-/// Incremental frame decoder for nonblocking sockets: feed whatever bytes
-/// arrive with Append(), pull complete payloads with Next(). Byte-at-a-time
-/// delivery, frames split at any boundary, and several frames per Append all
-/// decode identically to RecvFrame (tests/net/socket_frame_test.cpp pins
-/// this; tests/server/protocol_fuzz_test.cpp fragments live traffic).
+/// Incremental frame decoder (the perfbench trace replayer): feed whatever
+/// bytes arrive with Append(), pull complete payloads with Next().
+/// Byte-at-a-time delivery, frames split at any boundary, and several frames
+/// per Append all decode identically to RecvFrame
+/// (tests/net/socket_frame_test.cpp pins this).
 class FrameDecoder {
  public:
   /// Buffers `data` for decoding.

@@ -207,7 +207,7 @@ struct StatsReply {
 
 /// A reply as a server handler returns it: the status and the body apart.
 /// The envelope is encoded when the reply is framed, and the body follows
-/// it without being copied behind it (frame.h SendReply / AppendReply).
+/// it without being copied behind it (frame.h SendReply).
 struct Reply {
   Status status;
   Bytes body;

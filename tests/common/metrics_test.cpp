@@ -122,21 +122,16 @@ TEST(RegistryTest, EmptySnapshotIsEmpty) {
   EXPECT_EQ(registry.TextSnapshot(), "");
 }
 
-TEST(RegistryTest, ServerEngineInstrumentsExposeWithCatalogKinds) {
-  // The event-engine instruments (docs/OBSERVABILITY.md) render with the
-  // kinds the catalog declares; the dump file and `metrics` opcode both
-  // carry exactly these lines.
+TEST(RegistryTest, ServerSessionInstrumentsExposeWithCatalogKinds) {
+  // The session instruments both servers keep (docs/OBSERVABILITY.md)
+  // render with the kinds the catalog declares; the dump file and `metrics`
+  // opcode both carry exactly these lines.
   Registry registry;
   registry.GetGauge("io_server.inflight_sessions").Add(2);
-  registry.GetHistogram("io_server.batch_size").Observe(4);
-  registry.GetCounter("io_server.epoll_wake").Add(9);
-  registry.GetCounter("io_server.coalesced_fragments").Add(3);
+  registry.GetGauge("metad.inflight_sessions").Add(1);
   EXPECT_EQ(registry.TextSnapshot(),
-            "histogram io_server.batch_size count=1 sum=4 p50=4 p95=4 "
-            "p99=4 max=4\n"
-            "counter io_server.coalesced_fragments 3\n"
-            "counter io_server.epoll_wake 9\n"
-            "gauge io_server.inflight_sessions 2\n");
+            "gauge io_server.inflight_sessions 2\n"
+            "gauge metad.inflight_sessions 1\n");
 }
 
 TEST(RegistryTest, MetadataInstrumentsExposeWithCatalogKinds) {

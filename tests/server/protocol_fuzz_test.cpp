@@ -1,8 +1,7 @@
 // Wire-protocol robustness: a live server must survive malformed frames,
 // garbage bytes, truncated messages, and abrupt disconnects — replying with
 // errors where it can and dropping the session where it cannot, but never
-// crashing or wedging. The whole suite runs against both engines (the
-// thread-per-connection default and the epoll reactor).
+// crashing or wedging.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -13,6 +12,7 @@
 #include "client/meta_wire.h"
 #include "common/crc32.h"
 #include "common/failpoint.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/temp_dir.h"
 #include "metad/metad.h"
@@ -40,14 +40,13 @@ std::uint64_t PeakRssKiB() {
   return 0;
 }
 
-class ProtocolFuzzTest : public ::testing::TestWithParam<ServerEngine> {
+class ProtocolFuzzTest : public ::testing::Test {
  protected:
   ProtocolFuzzTest() : dir_(TempDir::Create("dpfs-fuzz").value()) {}
 
   void SetUp() override {
     ServerOptions options;
     options.root_dir = dir_.path();
-    options.engine = GetParam();
     server_ = IoServer::Start(std::move(options)).value();
   }
 
@@ -74,7 +73,7 @@ class ProtocolFuzzTest : public ::testing::TestWithParam<ServerEngine> {
   std::unique_ptr<IoServer> server_;
 };
 
-TEST_P(ProtocolFuzzTest, GarbageBytesInsteadOfFrame) {
+TEST_F(ProtocolFuzzTest, GarbageBytesInsteadOfFrame) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
   const Bytes garbage = {0xde, 0xad, 0xbe, 0xef, 0x01, 0x02};
@@ -83,7 +82,7 @@ TEST_P(ProtocolFuzzTest, GarbageBytesInsteadOfFrame) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, FrameWithAbsurdLength) {
+TEST_F(ProtocolFuzzTest, FrameWithAbsurdLength) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
   BinaryWriter writer;
@@ -94,7 +93,7 @@ TEST_P(ProtocolFuzzTest, FrameWithAbsurdLength) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, ValidFrameBadMessageTypeGetsErrorReply) {
+TEST_F(ProtocolFuzzTest, ValidFrameBadMessageTypeGetsErrorReply) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
   const Bytes payload = {0x7F};  // not a MessageType
@@ -106,7 +105,7 @@ TEST_P(ProtocolFuzzTest, ValidFrameBadMessageTypeGetsErrorReply) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, TruncatedRequestBodyGetsErrorReply) {
+TEST_F(ProtocolFuzzTest, TruncatedRequestBodyGetsErrorReply) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
   // kRead with a body that claims a subfile string longer than the frame.
@@ -120,7 +119,7 @@ TEST_P(ProtocolFuzzTest, TruncatedRequestBodyGetsErrorReply) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, MidFrameDisconnect) {
+TEST_F(ProtocolFuzzTest, MidFrameDisconnect) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
   BinaryWriter writer;
@@ -132,7 +131,7 @@ TEST_P(ProtocolFuzzTest, MidFrameDisconnect) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, RandomFrameStorm) {
+TEST_F(ProtocolFuzzTest, RandomFrameStorm) {
   SplitMix64 rng(12345);
   for (int trial = 0; trial < 40; ++trial) {
     Result<net::TcpSocket> socket =
@@ -160,7 +159,7 @@ TEST_P(ProtocolFuzzTest, RandomFrameStorm) {
   EXPECT_GE(server_->stats().sessions_accepted.load(), 40u);
 }
 
-TEST_P(ProtocolFuzzTest, FailpointSendCutsFrameAndServerCountsTheError) {
+TEST_F(ProtocolFuzzTest, FailpointSendCutsFrameAndServerCountsTheError) {
   // net.send_all kDisconnect severs the client's stream after `arg` bytes —
   // a deterministic mid-frame disconnect instead of the hand-rolled one
   // above. The server sees a truncated frame (kProtocolError, not a clean
@@ -186,7 +185,7 @@ TEST_P(ProtocolFuzzTest, FailpointSendCutsFrameAndServerCountsTheError) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, FailpointCutInsidePayloadAlsoCounts) {
+TEST_F(ProtocolFuzzTest, FailpointCutInsidePayloadAlsoCounts) {
   // Cut inside the payload (header fully delivered) — the server is waiting
   // on the body when the stream dies.
   const std::uint64_t errors_before = server_->stats().errors.load();
@@ -210,7 +209,7 @@ TEST_P(ProtocolFuzzTest, FailpointCutInsidePayloadAlsoCounts) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, GatheredWriteCutMidFrameCountsAndIsUnavailable) {
+TEST_F(ProtocolFuzzTest, GatheredWriteCutMidFrameCountsAndIsUnavailable) {
   // A client Write leaves as one gathered send (header, envelope, fields,
   // then the fragment's bytes from where they live). net.send_all fires
   // once for the frame and `arg` counts from its first header byte: the
@@ -237,7 +236,7 @@ TEST_P(ProtocolFuzzTest, GatheredWriteCutMidFrameCountsAndIsUnavailable) {
   EXPECT_FALSE(probe.Stat("/cut").value().exists);
 }
 
-TEST_P(ProtocolFuzzTest, AnnouncedHugeFrameThenClosePinsNoMemory) {
+TEST_F(ProtocolFuzzTest, AnnouncedHugeFrameThenClosePinsNoMemory) {
   // 256 MiB announced, nothing sent, connection closed: the session drops
   // the truncated frame as an error without committing memory for it.
   const std::uint64_t errors_before = server_->stats().errors.load();
@@ -256,7 +255,7 @@ TEST_P(ProtocolFuzzTest, AnnouncedHugeFrameThenClosePinsNoMemory) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, OversizedLengthJustPastTheCapDropsSession) {
+TEST_F(ProtocolFuzzTest, OversizedLengthJustPastTheCapDropsSession) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
   BinaryWriter writer;
@@ -269,7 +268,7 @@ TEST_P(ProtocolFuzzTest, OversizedLengthJustPastTheCapDropsSession) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, ServerDropsReplyMidSessionClientSeesUnavailable) {
+TEST_F(ProtocolFuzzTest, ServerDropsReplyMidSessionClientSeesUnavailable) {
   // server.before_reply kDisconnect: the request was handled but the reply
   // never leaves. The client observes a connection that died at a frame
   // boundary — kUnavailable, the retryable "fate unknown" outcome.
@@ -288,7 +287,7 @@ TEST_P(ProtocolFuzzTest, ServerDropsReplyMidSessionClientSeesUnavailable) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, ServerErrorReplyFailpointKeepsSessionUsable) {
+TEST_F(ProtocolFuzzTest, ServerErrorReplyFailpointKeepsSessionUsable) {
   // server.before_reply kReturnError swaps the real reply for an error
   // envelope; unlike the disconnect, the session survives.
   net::ServerConnection conn =
@@ -308,7 +307,7 @@ TEST_P(ProtocolFuzzTest, ServerErrorReplyFailpointKeepsSessionUsable) {
   EXPECT_TRUE(conn.Ping().ok());
 }
 
-TEST_P(ProtocolFuzzTest, StopJoinsAllSessionsAfterFaultStorm) {
+TEST_F(ProtocolFuzzTest, StopJoinsAllSessionsAfterFaultStorm) {
   // A storm of misbehaving sessions — truncated frames, dropped replies —
   // must leave no wedged session thread behind: Stop() joins everything
   // (the test would hang past its timeout on a leak).
@@ -351,7 +350,7 @@ TEST_P(ProtocolFuzzTest, StopJoinsAllSessionsAfterFaultStorm) {
   server_->Stop();  // joins every session thread or the test times out
 }
 
-TEST_P(ProtocolFuzzTest, MetricsOpcodeReturnsSnapshotWithLiveCounters) {
+TEST_F(ProtocolFuzzTest, MetricsOpcodeReturnsSnapshotWithLiveCounters) {
   // kMetrics returns the process-wide text snapshot; after real traffic the
   // server-side per-opcode counters must appear with nonzero values.
   net::ServerConnection conn =
@@ -373,7 +372,7 @@ TEST_P(ProtocolFuzzTest, MetricsOpcodeReturnsSnapshotWithLiveCounters) {
             std::string::npos);
 }
 
-TEST_P(ProtocolFuzzTest, MetricsOpcodeIgnoresTrailingBodyBytes) {
+TEST_F(ProtocolFuzzTest, MetricsOpcodeIgnoresTrailingBodyBytes) {
   // The request body is empty by contract; extra bytes must not confuse the
   // handler or wedge the session.
   net::TcpSocket socket =
@@ -388,7 +387,7 @@ TEST_P(ProtocolFuzzTest, MetricsOpcodeIgnoresTrailingBodyBytes) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, InterleavedGoodAndBadClients) {
+TEST_F(ProtocolFuzzTest, InterleavedGoodAndBadClients) {
   // A well-behaved client keeps working while another session misbehaves.
   net::ServerConnection good =
       net::ServerConnection::Connect(server_->endpoint()).value();
@@ -406,9 +405,9 @@ TEST_P(ProtocolFuzzTest, InterleavedGoodAndBadClients) {
   EXPECT_TRUE(good.Ping().ok());
 }
 
-TEST_P(ProtocolFuzzTest, ByteAtATimeDelivery) {
+TEST_F(ProtocolFuzzTest, ByteAtATimeDelivery) {
   // TCP may deliver a frame in arbitrarily small pieces; one byte per
-  // segment is the worst case. Both engines must reassemble it.
+  // segment is the worst case. The server must reassemble it.
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
   const Bytes frame =
@@ -423,7 +422,7 @@ TEST_P(ProtocolFuzzTest, ByteAtATimeDelivery) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, TwoFramesSplitAtEveryBoundary) {
+TEST_F(ProtocolFuzzTest, TwoFramesSplitAtEveryBoundary) {
   // Two back-to-back ping frames, split into two sends at every possible
   // byte position — covering splits inside the header, inside the payload,
   // and exactly on the frame boundary. Each split must produce exactly two
@@ -456,7 +455,7 @@ TEST_P(ProtocolFuzzTest, TwoFramesSplitAtEveryBoundary) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, MetadataOpcodeAimedAtIoServerGetsErrorReply) {
+TEST_F(ProtocolFuzzTest, MetadataOpcodeAimedAtIoServerGetsErrorReply) {
   // A client that dials the wrong port must get a protocol error, not a
   // crash or an OOB metric-array index: the kMeta* range is valid at the
   // envelope layer but refused by the I/O server's handler.
@@ -479,7 +478,7 @@ TEST_P(ProtocolFuzzTest, MetadataOpcodeAimedAtIoServerGetsErrorReply) {
 
 // --- list I/O opcodes (docs/WIRE_PROTOCOL.md "List I/O") -------------------
 
-TEST_P(ProtocolFuzzTest, ListRoundTripOnBothEngines) {
+TEST_F(ProtocolFuzzTest, ListRoundTrip) {
   // Happy path first: a scattered list write then a list read of the same
   // extents must hand back exactly the batched payload.
   net::ServerConnection conn =
@@ -493,7 +492,7 @@ TEST_P(ProtocolFuzzTest, ListRoundTripOnBothEngines) {
             (Bytes{5, 6, 7, 8}));
 }
 
-TEST_P(ProtocolFuzzTest, ListReadTruncatedExtentListGetsErrorReply) {
+TEST_F(ProtocolFuzzTest, ListReadTruncatedExtentListGetsErrorReply) {
   // A count that promises more extents than the body carries must be
   // rejected by the length guard, never allocated for.
   net::TcpSocket socket =
@@ -512,7 +511,7 @@ TEST_P(ProtocolFuzzTest, ListReadTruncatedExtentListGetsErrorReply) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, ListReadOverlappingExtentsRejected) {
+TEST_F(ProtocolFuzzTest, ListReadOverlappingExtentsRejected) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
   BinaryWriter payload;
@@ -531,7 +530,7 @@ TEST_P(ProtocolFuzzTest, ListReadOverlappingExtentsRejected) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, ListWritePayloadMismatchRejectedAndNothingWritten) {
+TEST_F(ProtocolFuzzTest, ListWritePayloadMismatchRejectedAndNothingWritten) {
   // The payload must equal the extent sum; a short payload is refused at
   // decode, before any byte reaches the store.
   net::ServerConnection conn =
@@ -560,7 +559,7 @@ TEST_P(ProtocolFuzzTest, ListWritePayloadMismatchRejectedAndNothingWritten) {
   ExpectServerAlive();
 }
 
-TEST_P(ProtocolFuzzTest, ListOpcodeFrameStorm) {
+TEST_F(ProtocolFuzzTest, ListOpcodeFrameStorm) {
   // Random bodies behind the two list opcodes specifically: every frame
   // must draw an error reply (or a clean drop), never a crash.
   SplitMix64 rng(777);
@@ -582,29 +581,18 @@ TEST_P(ProtocolFuzzTest, ListOpcodeFrameStorm) {
   ExpectServerAlive();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Engines, ProtocolFuzzTest,
-    ::testing::Values(ServerEngine::kThreadPerConnection,
-                      ServerEngine::kEventLoop),
-    [](const ::testing::TestParamInfo<ServerEngine>& param_info) {
-      return param_info.param == ServerEngine::kEventLoop
-                 ? "EventLoop"
-                 : "ThreadPerConnection";
-    });
-
 // --- the metadata server under the same storm ------------------------------
 //
-// dpfs-metad shares the frame/envelope code with the I/O servers but has
-// its own session loops and its own dispatch; the robustness contract is
-// identical, so it faces the same suite shape on both engines. ("ProtocolFuzz"
-// in the name keeps it inside the asan-faults/tsan-faults preset globs.)
-class MetadProtocolFuzzTest : public ::testing::TestWithParam<ServerEngine> {
+// dpfs-metad shares the session loop (server::RpcServer) with the I/O
+// servers but has its own dispatch; the robustness contract is identical,
+// so it faces the same suite shape. ("ProtocolFuzz" in the name keeps it
+// inside the asan-faults/tsan-faults preset globs.)
+class MetadProtocolFuzzTest : public ::testing::Test {
  protected:
   void SetUp() override {
     std::unique_ptr<metadb::ShardedDatabase> db =
         metadb::ShardedDatabase::OpenInMemory(2).value();
     metad::MetadOptions options;
-    options.engine = GetParam();
     service_ =
         metad::MetadService::Start(std::move(db), std::move(options)).value();
   }
@@ -621,7 +609,7 @@ class MetadProtocolFuzzTest : public ::testing::TestWithParam<ServerEngine> {
   std::unique_ptr<metad::MetadService> service_;
 };
 
-TEST_P(MetadProtocolFuzzTest, GarbageBytesInsteadOfFrame) {
+TEST_F(MetadProtocolFuzzTest, GarbageBytesInsteadOfFrame) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", service_->endpoint().port).value();
   const Bytes garbage = {0xde, 0xad, 0xbe, 0xef, 0x01, 0x02};
@@ -630,7 +618,7 @@ TEST_P(MetadProtocolFuzzTest, GarbageBytesInsteadOfFrame) {
   ExpectServiceAlive();
 }
 
-TEST_P(MetadProtocolFuzzTest, TypeBytePastTheRangeGetsErrorReply) {
+TEST_F(MetadProtocolFuzzTest, TypeBytePastTheRangeGetsErrorReply) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", service_->endpoint().port).value();
   for (const std::uint8_t bad :
@@ -647,7 +635,7 @@ TEST_P(MetadProtocolFuzzTest, TypeBytePastTheRangeGetsErrorReply) {
   ExpectServiceAlive();
 }
 
-TEST_P(MetadProtocolFuzzTest, TruncatedMetadataBodyGetsErrorReply) {
+TEST_F(MetadProtocolFuzzTest, TruncatedMetadataBodyGetsErrorReply) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", service_->endpoint().port).value();
   // kMetaLookupFile whose path string claims more bytes than the frame has.
@@ -662,7 +650,7 @@ TEST_P(MetadProtocolFuzzTest, TruncatedMetadataBodyGetsErrorReply) {
   ExpectServiceAlive();
 }
 
-TEST_P(MetadProtocolFuzzTest, IoOpcodeAimedAtMetadGetsErrorReply) {
+TEST_F(MetadProtocolFuzzTest, IoOpcodeAimedAtMetadGetsErrorReply) {
   // The mirror image of the I/O-server test above: kRead is in range at
   // the envelope layer but this service does not serve it.
   net::TcpSocket socket =
@@ -679,7 +667,7 @@ TEST_P(MetadProtocolFuzzTest, IoOpcodeAimedAtMetadGetsErrorReply) {
   ExpectServiceAlive();
 }
 
-TEST_P(MetadProtocolFuzzTest, ListOpcodeAimedAtMetadGetsErrorReply) {
+TEST_F(MetadProtocolFuzzTest, ListOpcodeAimedAtMetadGetsErrorReply) {
   // The list I/O opcodes are in range at the envelope layer but metad does
   // not serve them: same "I/O opcode" refusal as kRead, no metad changes.
   net::TcpSocket socket =
@@ -700,7 +688,7 @@ TEST_P(MetadProtocolFuzzTest, ListOpcodeAimedAtMetadGetsErrorReply) {
   ExpectServiceAlive();
 }
 
-TEST_P(MetadProtocolFuzzTest, MidFrameDisconnect) {
+TEST_F(MetadProtocolFuzzTest, MidFrameDisconnect) {
   net::TcpSocket socket =
       net::TcpSocket::Connect("127.0.0.1", service_->endpoint().port).value();
   BinaryWriter writer;
@@ -712,7 +700,7 @@ TEST_P(MetadProtocolFuzzTest, MidFrameDisconnect) {
   ExpectServiceAlive();
 }
 
-TEST_P(MetadProtocolFuzzTest, TwoFramesSplitInsideTheHeader) {
+TEST_F(MetadProtocolFuzzTest, TwoFramesSplitInsideTheHeader) {
   // Worst-case reassembly across the shared frame reader: a ping split in
   // the middle of its length header, then a second whole ping.
   const Bytes one =
@@ -733,7 +721,7 @@ TEST_P(MetadProtocolFuzzTest, TwoFramesSplitInsideTheHeader) {
   ExpectServiceAlive();
 }
 
-TEST_P(MetadProtocolFuzzTest, RandomFrameStorm) {
+TEST_F(MetadProtocolFuzzTest, RandomFrameStorm) {
   SplitMix64 rng(54321);
   for (int trial = 0; trial < 40; ++trial) {
     Result<net::TcpSocket> socket =
@@ -758,7 +746,7 @@ TEST_P(MetadProtocolFuzzTest, RandomFrameStorm) {
   EXPECT_GE(service_->stats().sessions_accepted.load(), 40u);
 }
 
-TEST_P(MetadProtocolFuzzTest, StopJoinsSessionsWithClientsMidRecv) {
+TEST_F(MetadProtocolFuzzTest, StopJoinsSessionsWithClientsMidRecv) {
   // Idle sessions blocked in RecvFrame must not wedge Stop().
   std::vector<net::TcpSocket> idle;
   for (int i = 0; i < 4; ++i) {
@@ -774,15 +762,36 @@ TEST_P(MetadProtocolFuzzTest, StopJoinsSessionsWithClientsMidRecv) {
   service_->Stop();  // joins every session thread or the test times out
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Engines, MetadProtocolFuzzTest,
-    ::testing::Values(ServerEngine::kThreadPerConnection,
-                      ServerEngine::kEventLoop),
-    [](const ::testing::TestParamInfo<ServerEngine>& param_info) {
-      return param_info.param == ServerEngine::kEventLoop
-                 ? "EventLoop"
-                 : "ThreadPerConnection";
-    });
+TEST_F(MetadProtocolFuzzTest, StopLeavesOtherConnectionsAlone) {
+  // A descriptor a finished metad session closed is soon reused by an
+  // unrelated connection in this process; Stop() must not shut it down.
+  const TempDir dir = TempDir::Create("dpfs-fuzz-other").value();
+  ServerOptions options;
+  options.root_dir = dir.path();
+  std::unique_ptr<IoServer> other = IoServer::Start(std::move(options)).value();
+
+  const metrics::Gauge& inflight =
+      metrics::GetGauge("metad.inflight_sessions");
+  const std::int64_t baseline = inflight.value();
+  {
+    net::ServerConnection conn =
+        net::ServerConnection::Connect(service_->endpoint()).value();
+    ASSERT_TRUE(conn.Ping().ok());
+  }
+  for (int i = 0; i < 400 && inflight.value() > baseline; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_LE(inflight.value(), baseline);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // fd closed
+
+  std::vector<net::ServerConnection> conns;
+  for (int i = 0; i < 4; ++i) {
+    conns.push_back(net::ServerConnection::Connect(other->endpoint()).value());
+    ASSERT_TRUE(conns.back().Ping().ok());
+  }
+  service_->Stop();
+  for (net::ServerConnection& conn : conns) EXPECT_TRUE(conn.Ping().ok());
+}
 
 }  // namespace
 }  // namespace dpfs::server

@@ -31,6 +31,13 @@ both directions, so the doc tables stay the authoritative inventory:
                 rows may abbreviate siblings (`x.hits` / `.misses`) and use
                 `<op>` placeholders for dynamic suffixes (matching source
                 names that end with a dot).
+
+                Names the shared server skeleton (server/rpc_server.h)
+                composes at run time count too: every literal a service
+                assigns to a `metric_prefix` field joins every suffix
+                literal of a GetCounter/GetGauge/GetHistogram(...
+                metric_prefix + "...") call, and every literal assigned to
+                a `*_failpoint` field is a failpoint site.
   opcode-undocumented / opcode-ghost
                 every enumerator of `enum class MessageType` in
                 src/net/messages.h must have a row (matching number AND
@@ -154,6 +161,13 @@ _CODE_STRIP_RE = re.compile(
 FAILPOINT_CALL_RE = re.compile(
     r'(?:failpoint::Check|DPFS_FAILPOINT\w*)\(\s*"([^"]+)"')
 METRIC_CALL_RE = re.compile(r'Get(?:Counter|Gauge|Histogram)\(\s*"([^"]+)"')
+# Names composed from a service's constants (RpcServer::Config): a site
+# handed over in a `*_failpoint` field, a prefix in `metric_prefix`, and the
+# suffixes the skeleton appends to it.
+FAILPOINT_FIELD_RE = re.compile(r'\b\w+_failpoint\s*=\s*"([^"]+)"')
+METRIC_PREFIX_RE = re.compile(r'\bmetric_prefix\s*=\s*"([^"]+)"')
+METRIC_SUFFIX_RE = re.compile(
+    r'Get(?:Counter|Gauge|Histogram)\(\s*[\w.]*metric_prefix\s*\+\s*"([^"]+)"')
 
 # A catalog row's first cell: `| `name` | ...` where name is dotted
 # lowercase (which is what keeps the action/status tables out).
@@ -179,6 +193,24 @@ def scan_src_calls(root: Path, pattern: re.Pattern[str]
             name = m.group(1)
             lineno = code.count("\n", 0, m.start()) + 1
             sites.setdefault(name, (path.relative_to(root), lineno))
+    return sites
+
+
+def src_failpoints(root: Path) -> dict[str, tuple[Path, int]]:
+    """Failpoint sites checked directly or handed over in a field."""
+    sites = scan_src_calls(root, FAILPOINT_CALL_RE)
+    for name, where in scan_src_calls(root, FAILPOINT_FIELD_RE).items():
+        sites.setdefault(name, where)
+    return sites
+
+
+def src_metrics(root: Path) -> dict[str, tuple[Path, int]]:
+    """Instrument names registered literally or composed from a prefix."""
+    sites = scan_src_calls(root, METRIC_CALL_RE)
+    prefixes = scan_src_calls(root, METRIC_PREFIX_RE)
+    for suffix, where in scan_src_calls(root, METRIC_SUFFIX_RE).items():
+        for prefix in prefixes:
+            sites.setdefault(prefix + suffix, where)
     return sites
 
 
@@ -308,14 +340,14 @@ def lint_catalogs(root: Path) -> list[Violation]:
     fault_doc = root / "docs/FAULT_INJECTION.md"
     if fault_doc.is_file():
         out.extend(cross_check(
-            scan_src_calls(root, FAILPOINT_CALL_RE),
+            src_failpoints(root),
             doc_catalog_names(fault_doc),
             Path("docs/FAULT_INJECTION.md"), "failpoint",
             "site checked in src/"))
     obs_doc = root / "docs/OBSERVABILITY.md"
     if obs_doc.is_file():
         out.extend(cross_check(
-            scan_src_calls(root, METRIC_CALL_RE),
+            src_metrics(root),
             doc_catalog_names(obs_doc),
             Path("docs/OBSERVABILITY.md"), "metric",
             "instrument registered in src/"))
@@ -355,6 +387,17 @@ EXPECTED_SELF_TEST = {
 }
 
 
+# Composed names in the fixture source that are absent from the catalogs.
+EXPECTED_COMPOSED = (
+    ("failpoint-undocumented", "fixture.field_undocumented"),
+    ("metric-undocumented", "svc.composed_undocumented"),
+)
+# Names the fixture source registers and the fixture catalogs list: no
+# rule may report them from either direction.
+CATALOGED_NAMES = ("fixture.documented", "fix.documented",
+                   "fixture.field_documented", "svc.composed_documented")
+
+
 def run_self_test(fixtures: Path) -> int:
     violations = run_lint(fixtures)
     found = {(v.rule, v.path.as_posix()) for v in violations}
@@ -369,6 +412,12 @@ def run_self_test(fixtures: Path) -> int:
         if (rule, doc) not in found:
             failures.append(f"self-test: rule '{rule}' did not fire on "
                             f"{doc}")
+    # Names composed from service constants must be checked like literals.
+    for rule, name in EXPECTED_COMPOSED:
+        if not any(v.rule == rule and f"'{name}'" in v.message
+                   for v in violations):
+            failures.append(f"self-test: rule '{rule}' did not fire for "
+                            f"composed name '{name}'")
     # The clean fixture references real files and external links; any
     # violation on it is a false positive. Likewise the cataloged halves of
     # the cross-check pairs must not be reported from either direction.
@@ -376,8 +425,7 @@ def run_self_test(fixtures: Path) -> int:
         if v.path.as_posix() == "docs/good.md":
             failures.append(f"self-test: false positive on clean fixture: "
                             f"{v}")
-        if "'fixture.documented'" in v.message or \
-                "'fix.documented'" in v.message:
+        if any(f"'{name}'" in v.message for name in CATALOGED_NAMES):
             failures.append(f"self-test: false positive on cataloged name: "
                             f"{v}")
     for line in failures:

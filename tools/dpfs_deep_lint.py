@@ -15,8 +15,10 @@ sets, call edges) and enforces three invariants on it:
                         many instances of one lock class in a loop) is a
                         self-edge and needs a dpfs:lock-order-ok waiver
                         stating the total order that makes it safe.
-  reactor-blocking      No call path from a reactor root (EventLoop::Run
-                        and the handler entry points it invokes) may reach
+  reactor-blocking      No call path from a reactor root (REACTOR_ROOTS: an
+                        event loop and the handler entry points it invokes;
+                        none while the servers run one thread per
+                        connection; --self-test uses a fixture loop) may reach
                         a cataloged blocking primitive (flock, sleep_for,
                         blocking connect/accept/recv/send, CondVar::Wait,
                         metadb::Database mutation entry points) without a
@@ -79,16 +81,13 @@ SOURCE_SUFFIXES = {".h", ".hpp", ".cpp", ".cc"}
 # --- configuration: roots, blocking catalog, lock guards ---------------------
 
 # Call-graph roots for the reactor-blocking check, matched as qualified-name
-# suffixes. EventLoop::Run is the loop itself; the Handler std::function it
-# invokes is opaque to any AST, so the two functions bound into it at
-# EventLoop::Start call sites are listed explicitly (they run on the loop
-# thread). Every root must resolve to a parsed function definition — a
-# rename fails the lint instead of silently analyzing nothing.
-REACTOR_ROOTS = (
-    "server::EventLoop::Run",
-    "server::IoServer::HandleRequest",
-    "metad::MetadService::HandleRequest",
-)
+# suffixes. Every root must resolve to a parsed function definition — a
+# rename fails the lint instead of silently analyzing nothing. The servers
+# run one thread per connection (server::RpcServer), so no production
+# thread multiplexes connections and a blocking call stalls only its own
+# session: the set is empty. An event loop added later lists its loop
+# function and the handlers bound into it here.
+REACTOR_ROOTS: tuple[str, ...] = ()
 # In --self-test the fixture tree defines its own miniature reactor.
 SELF_TEST_ROOTS = ("server::EventLoop::Run",)
 
