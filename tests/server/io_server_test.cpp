@@ -141,6 +141,48 @@ TEST_F(IoServerTest, ConcurrentClients) {
   EXPECT_GE(server_->stats().sessions_accepted.load(), 8u);
 }
 
+TEST_F(IoServerTest, ConcurrentClientsLeaveNoServerErrors) {
+  // Clients interleave writes and reads on separate connections and separate
+  // subfiles; every session is accepted and none counts an error.
+  constexpr int kClients = 8;
+  constexpr int kOpsPerClient = 20;
+  std::vector<std::thread> threads;
+  std::atomic<int> failures{0};
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([this, c, &failures] {
+      Result<net::ServerConnection> conn =
+          net::ServerConnection::Connect(server_->endpoint());
+      if (!conn.ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      net::ServerConnection connection = std::move(conn).value();
+      const std::string subfile = "/client" + std::to_string(c);
+      for (int op = 0; op < kOpsPerClient; ++op) {
+        const std::uint64_t offset = static_cast<std::uint64_t>(op) * 256;
+        Bytes payload(256, static_cast<std::uint8_t>(c * 16 + op));
+        std::vector<net::WriteFragment> writes;
+        writes.push_back({offset, payload});
+        if (!connection.Write(subfile, std::move(writes)).ok()) {
+          failures.fetch_add(1);
+          return;
+        }
+        const Result<net::ReplyBody> read =
+            connection.Read(subfile, {{offset, 256}});
+        if (!read.ok() || ToBytes(read.value().bytes()) != payload) {
+          failures.fetch_add(1);
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(server_->stats().sessions_accepted.load(),
+            static_cast<std::uint64_t>(kClients));
+  EXPECT_EQ(server_->stats().errors.load(), 0u);
+}
+
 TEST_F(IoServerTest, StatsCountBytes) {
   net::ServerConnection conn = Connect();
   std::vector<net::WriteFragment> writes;
@@ -185,6 +227,25 @@ TEST_F(IoServerTest, ShutdownMessageStopsAccepting) {
   // Give the accept loop a moment to wind down.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(net::ServerConnection::Connect(server_->endpoint()).ok());
+}
+
+TEST_F(IoServerTest, StopIsIdempotentAndRefusesNewConnections) {
+  net::ServerConnection conn = Connect();
+  EXPECT_TRUE(conn.Ping().ok());
+  server_->Stop();
+  server_->Stop();
+  EXPECT_FALSE(net::ServerConnection::Connect(server_->endpoint()).ok());
+  // Stop() shut the open session down; its client sees the socket closed.
+  EXPECT_FALSE(conn.Ping().ok());
+}
+
+TEST_F(IoServerTest, ShutdownOpcodeRepliesThenStopsAccepting) {
+  net::ServerConnection conn = Connect();
+  EXPECT_TRUE(conn.Shutdown().ok());  // the reply arrives before the close
+  EXPECT_TRUE(WaitFor([&] {
+    return !net::ServerConnection::Connect(server_->endpoint()).ok();
+  }));
+  server_->Stop();
 }
 
 TEST_F(IoServerTest, SubfilesLandUnderServerRoot) {
@@ -288,6 +349,29 @@ TEST_F(IoServerTest, ShortReadsAreReassembled) {
   EXPECT_EQ(ToBytes(conn.Read("/short", {{0, 100}}).value().bytes()),
             Bytes(100, 7));
   EXPECT_EQ(server_->stats().errors.load(), 0u);
+}
+
+TEST_F(IoServerTest, ByteAtATimeDeliveryStillDecodes) {
+  // A request with a body, one byte per send: the session reassembles the
+  // header and the body before decoding, and the bytes land whole.
+  net::TcpSocket raw =
+      net::TcpSocket::Connect("127.0.0.1", server_->endpoint().port).value();
+  BinaryWriter body;
+  net::WriteRequest request;
+  request.subfile = "/bytewise";
+  request.fragments.push_back({0, Bytes{9, 8, 7, 6}});
+  request.Encode(body);
+  const Bytes frame = RequestFrame(net::MessageType::kWrite, body);
+  for (const std::uint8_t byte : frame) {
+    ASSERT_TRUE(raw.SendAll({&byte, 1}).ok());
+  }
+  Bytes payload;
+  ASSERT_TRUE(net::RecvFrame(raw, payload).ok());
+  EXPECT_TRUE(net::DecodeReply(payload).value().status.ok());
+
+  net::ServerConnection conn = Connect();
+  EXPECT_EQ(ToBytes(conn.Read("/bytewise", {{0, 4}}).value().bytes()),
+            (Bytes{9, 8, 7, 6}));
 }
 
 TEST_F(IoServerTest, InflightGaugeTracksSessions) {
